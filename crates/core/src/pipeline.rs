@@ -49,10 +49,12 @@ pub struct PipelineConfig {
     pub mode: ModeInferencer,
     /// Point-layer parameters.
     pub point_params: PointParams,
-    /// Spatial-index backend for every annotation layer. The default
-    /// ([`IndexMode::Frozen`]) builds each R\*-tree once and freezes it
-    /// into the flat cache-packed snapshot; results are identical to the
-    /// dynamic backend byte for byte (the integration suite asserts it).
+    /// Spatial-index backend of the line and point layers (the region
+    /// layer addresses the landuse raster by arithmetic and keeps its few
+    /// named regions frozen). The default ([`IndexMode::Frozen`]) builds
+    /// each R\*-tree once and freezes it into the flat cache-packed
+    /// snapshot; results are identical to the dynamic backend byte for
+    /// byte (the integration suite asserts it).
     pub index_mode: IndexMode,
     /// Precomputed per-cell candidate oracle for the line and point
     /// layers. The default ([`OracleMode::Precomputed`]) materializes the
@@ -176,8 +178,8 @@ impl SeMiTri {
         let city = city.into();
         let mode = config.index_mode;
         let oracle_mode = config.oracle_mode;
-        let region = RegionAnnotator::from_landuse_with(&city.landuse, mode);
-        let named = RegionAnnotator::from_named_regions_with(&city.regions, mode);
+        let region = RegionAnnotator::from_landuse(&city.landuse);
+        let named = RegionAnnotator::from_named_regions(&city.regions);
         let matcher =
             GlobalMapMatcher::with_modes(&city.roads, config.match_params, mode, oracle_mode);
         let point = PointAnnotator::with_modes(

@@ -1,23 +1,25 @@
 //! Semantic Region Annotation Layer (paper §4.1, Algorithm 1).
 //!
 //! Annotates trajectories with regions of interest via a spatial join
-//! between the GPS records (or episode extents) and an R\*-tree over the
-//! region source. Continuous runs of records falling in the same region
-//! are grouped into tuples `(region, t_in, t_out, regtype)` and consecutive
-//! same-type tuples are merged — exactly Algorithm 1.
+//! between the GPS records (or episode extents) and the region source.
+//! Continuous runs of records falling in the same region are grouped into
+//! tuples `(region, t_in, t_out, regtype)` and consecutive same-type
+//! tuples are merged — exactly Algorithm 1.
+//!
+//! The paper joins through an R\*-tree. Free-form named regions still do
+//! (overlapping polygons: the smallest-area rule needs every candidate);
+//! the landuse source is a regular raster, so its join is cell arithmetic
+//! ([`LanduseGrid::index_at`]) — addressing, not search.
 
 use crate::model::{PlaceKind, PlaceRef};
-use semitri_data::{LanduseCategory, LanduseGrid, NamedRegion, RawTrajectory};
+use semitri_data::{LanduseCategory, LanduseCell, LanduseGrid, NamedRegion, RawTrajectory};
 use semitri_episodes::Episode;
-use semitri_geo::{Point, Polygon, Rect, TimeSpan};
-use semitri_index::{FrozenRStarTree, FrozenRangeScratch, IndexMode, RStarTree, RangeScratch};
+use semitri_geo::{Point, Polygon, Rect, TimeSpan, Timestamp};
+use semitri_index::{FrozenRStarTree, FrozenRangeScratch, RStarTree};
 use std::sync::Arc;
 
-/// A region entry in the annotator's source: rectangular (landuse cells)
-/// or polygonal (free-form OSM-style regions).
-///
-/// The label is interned (`Arc<str>`): all landuse cells of one category
-/// share a single allocation instead of one `format!` string per cell.
+/// A region entry of the tree-backed source: polygonal (free-form
+/// OSM-style regions) or rectangular (landuse cells, in the test oracle).
 #[derive(Debug, Clone)]
 struct RegionEntry {
     id: u64,
@@ -48,6 +50,28 @@ impl RegionEntry {
             None => self.rect.area(),
         }
     }
+
+    fn hit(&self) -> Hit<'_> {
+        Hit {
+            id: self.id,
+            label: &self.label,
+            category: self.category,
+        }
+    }
+}
+
+/// What a point lookup found, borrowed from whichever source answered.
+#[derive(Clone, Copy)]
+struct Hit<'a> {
+    id: u64,
+    label: &'a str,
+    category: Option<LanduseCategory>,
+}
+
+impl Hit<'_> {
+    fn place(&self) -> PlaceRef {
+        PlaceRef::new(PlaceKind::Region, self.id, self.label)
+    }
 }
 
 /// One output tuple of Algorithm 1: a maximal run of records inside the
@@ -71,12 +95,42 @@ impl RegionTuple {
     pub fn record_count(&self) -> usize {
         self.end - self.start
     }
+
+    /// Takes record `i` (the one right after the tuple's last) into the run.
+    fn extend(&mut self, i: usize, t: Timestamp) {
+        self.end = i + 1;
+        self.span = TimeSpan::new(self.span.start, t);
+    }
+}
+
+/// One step of Algorithm 1: record `i` lies in `hit`.
+fn alg1_step(out: &mut Vec<RegionTuple>, i: usize, t: Timestamp, hit: Hit<'_>) {
+    // merge into the previous tuple when it references the same region and
+    // is contiguous (Algorithm 1 lines 10–11: same regtype ⇒ single tuple)
+    if let Some(last) = out.last_mut() {
+        let same_type = match (last.category, hit.category) {
+            (Some(a), Some(b)) => a == b,
+            _ => last.place.id == hit.id,
+        };
+        if last.end == i && same_type {
+            // when crossing into a sibling cell of the same category keep
+            // the first region's identity
+            return last.extend(i, t);
+        }
+    }
+    out.push(RegionTuple {
+        place: hit.place(),
+        category: hit.category,
+        span: TimeSpan::new(t, t),
+        start: i,
+        end: i + 1,
+    });
 }
 
 /// The Semantic Region Annotation Layer.
 ///
-/// Build it from one or more sources, then annotate raw trajectories
-/// (Algorithm 1) or individual episodes (stop-center / move-bbox joins).
+/// Build it from one source, then annotate raw trajectories (Algorithm 1)
+/// or individual episodes (stop-center / move-bbox joins).
 ///
 /// ```
 /// use semitri_core::RegionAnnotator;
@@ -95,107 +149,76 @@ impl RegionTuple {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegionAnnotator {
-    tree: RegionIndex,
+    source: Source,
 }
 
-/// The region tree backend: the layer is built once per city and queried
-/// per record, so the cache-packed frozen snapshot is the default; the
-/// dynamic tree is kept selectable as the identity oracle.
 #[derive(Debug, Clone)]
-enum RegionIndex {
-    Dynamic(RStarTree<RegionEntry>),
-    Frozen(Box<FrozenRStarTree<RegionEntry>>),
+enum Source {
+    /// The landuse raster, addressed by arithmetic: a copy of the grid
+    /// (dimensions + one byte per cell) and one label per category.
+    Landuse {
+        grid: LanduseGrid,
+        labels: Vec<String>,
+    },
+    /// Free-form regions behind the frozen R\*-tree.
+    Tree(Box<FrozenRStarTree<RegionEntry>>),
 }
 
-impl RegionIndex {
-    fn len(&self) -> usize {
-        match self {
-            RegionIndex::Dynamic(t) => t.len(),
-            RegionIndex::Frozen(t) => t.len(),
-        }
-    }
+/// The landuse cell owning `p`; `None` off the raster.
+fn landuse_at(grid: &LanduseGrid, p: Point) -> Option<LanduseCell> {
+    grid.index_at(p).and_then(|idx| grid.cell(idx as u64))
+}
 
-    /// Visits every entry intersecting `query` — identical results in
-    /// identical order on both backends.
-    fn for_each_in_with<'t>(
-        &'t self,
-        scratch: &mut RegionScratch<'t>,
-        query: &Rect,
-        mut f: impl FnMut(&'t RegionEntry),
-    ) {
-        match self {
-            RegionIndex::Dynamic(t) => t.for_each_in_with(&mut scratch.dynamic, query, |_, e| f(e)),
-            RegionIndex::Frozen(t) => t.for_each_in_with(&mut scratch.frozen, query, |_, e| f(e)),
-        }
+fn landuse_hit(labels: &[String], cell: LanduseCell) -> Hit<'_> {
+    Hit {
+        id: cell.id,
+        label: &labels[cell.category.ordinal()],
+        category: Some(cell.category),
     }
 }
 
-/// Reusable traversal state for either backend (only the active side's
-/// buffer ever warms up).
-struct RegionScratch<'t> {
-    dynamic: RangeScratch<'t, RegionEntry>,
-    frozen: FrozenRangeScratch,
-}
-
-impl RegionScratch<'_> {
-    fn new() -> Self {
-        Self {
-            dynamic: RangeScratch::new(),
-            frozen: FrozenRangeScratch::new(),
+/// The most specific (smallest-area) entry containing `p`; the reusable
+/// traversal stack spares a whole-trajectory join per-record allocation.
+fn smallest_containing<'t>(
+    tree: &'t FrozenRStarTree<RegionEntry>,
+    scratch: &mut FrozenRangeScratch,
+    p: Point,
+) -> Option<&'t RegionEntry> {
+    let mut best: Option<&RegionEntry> = None;
+    tree.for_each_in_with(scratch, &Rect::from_point(p), |_, e| {
+        if e.contains(p) && best.is_none_or(|b| e.area() < b.area()) {
+            best = Some(e);
         }
-    }
+    });
+    best
 }
 
 impl RegionAnnotator {
-    fn from_entries(entries: Vec<RegionEntry>, mode: IndexMode) -> Self {
+    fn from_entries(entries: Vec<RegionEntry>) -> Self {
         let items = entries.into_iter().map(|e| (e.rect, e)).collect();
-        let tree = RStarTree::bulk_load(items);
         Self {
-            tree: match mode {
-                IndexMode::Frozen => RegionIndex::Frozen(Box::new(tree.freeze())),
-                IndexMode::Dynamic => RegionIndex::Dynamic(tree),
+            source: Source::Tree(Box::new(RStarTree::bulk_load(items).freeze())),
+        }
+    }
+
+    /// Builds the layer over a landuse grid. No index is built: the layer
+    /// keeps a copy of the raster and addresses its cells by arithmetic.
+    pub fn from_landuse(grid: &LanduseGrid) -> Self {
+        Self {
+            source: Source::Landuse {
+                grid: grid.clone(),
+                labels: LanduseCategory::ALL
+                    .iter()
+                    .map(|c| format!("{} [{}]", c.label(), c.code()))
+                    .collect(),
             },
         }
     }
 
-    /// Builds the layer over a landuse grid (bulk-loaded R\*-tree over all
-    /// cells, as in the paper's Swisstopo experiments), frozen into the
-    /// flat snapshot.
-    pub fn from_landuse(grid: &LanduseGrid) -> Self {
-        Self::from_landuse_with(grid, IndexMode::Frozen)
-    }
-
-    /// [`RegionAnnotator::from_landuse`] with an explicit index backend.
-    pub fn from_landuse_with(grid: &LanduseGrid, mode: IndexMode) -> Self {
-        // one interned label per category (17 allocations total) instead of
-        // one `format!` call per cell (hundreds of thousands on city grids)
-        let labels: Vec<Arc<str>> = LanduseCategory::ALL
-            .iter()
-            .map(|c| Arc::from(format!("{} [{}]", c.label(), c.code())))
-            .collect();
-        let entries = grid
-            .cells()
-            .map(|c| RegionEntry {
-                id: c.id,
-                label: Arc::clone(&labels[c.category.ordinal()]),
-                category: Some(c.category),
-                polygon: None,
-                rect: c.rect,
-            })
-            .collect();
-        Self::from_entries(entries, mode)
-    }
-
     /// Builds the layer over free-form named regions (campus, recreation
-    /// areas — the paper's OpenStreetMap examples), frozen into the flat
-    /// snapshot.
+    /// areas — the paper's OpenStreetMap examples): a bulk-loaded R\*-tree
+    /// frozen into the flat snapshot.
     pub fn from_named_regions(regions: &[NamedRegion]) -> Self {
-        Self::from_named_regions_with(regions, IndexMode::Frozen)
-    }
-
-    /// [`RegionAnnotator::from_named_regions`] with an explicit index
-    /// backend.
-    pub fn from_named_regions_with(regions: &[NamedRegion], mode: IndexMode) -> Self {
         let entries = regions
             .iter()
             .map(|r| RegionEntry {
@@ -206,44 +229,33 @@ impl RegionAnnotator {
                 rect: r.bbox(),
             })
             .collect();
-        Self::from_entries(entries, mode)
+        Self::from_entries(entries)
     }
 
-    /// Number of indexed regions.
+    /// Number of regions.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        match &self.source {
+            Source::Landuse { grid, .. } => grid.len(),
+            Source::Tree(tree) => tree.len(),
+        }
     }
 
-    /// `true` when no regions are indexed.
+    /// `true` when the source has no regions.
     pub fn is_empty(&self) -> bool {
-        self.tree.len() == 0
+        self.len() == 0
     }
 
-    /// The most specific (smallest-area) region containing `p`.
+    /// The region containing `p`: the owning cell of a landuse raster (see
+    /// [`LanduseGrid::index_at`] for shared edges), the most specific
+    /// (smallest-area) one among free-form regions.
     pub fn region_at(&self, p: Point) -> Option<PlaceRef> {
-        self.entry_at(p)
-            .map(|e| PlaceRef::new(PlaceKind::Region, e.id, &*e.label))
-    }
-
-    fn entry_at(&self, p: Point) -> Option<&RegionEntry> {
-        self.entry_at_with(&mut RegionScratch::new(), p)
-    }
-
-    /// Point-in-region lookup threading a reusable traversal stack, so a
-    /// whole-trajectory join performs no per-record allocation.
-    fn entry_at_with<'t>(
-        &'t self,
-        scratch: &mut RegionScratch<'t>,
-        p: Point,
-    ) -> Option<&'t RegionEntry> {
-        let probe = Rect::from_point(p);
-        let mut best: Option<&RegionEntry> = None;
-        self.tree.for_each_in_with(scratch, &probe, |e| {
-            if e.contains(p) && best.is_none_or(|b| e.area() < b.area()) {
-                best = Some(e);
+        match &self.source {
+            Source::Landuse { grid, labels } => {
+                landuse_at(grid, p).map(|c| landuse_hit(labels, c).place())
             }
-        });
-        best
+            Source::Tree(tree) => smallest_containing(tree, &mut FrozenRangeScratch::new(), p)
+                .map(|e| e.hit().place()),
+        }
     }
 
     /// Algorithm 1: spatial join of the raw trajectory against the region
@@ -253,37 +265,36 @@ impl RegionAnnotator {
     /// Records covered by no region produce gaps (no tuple), matching the
     /// paper's partial annotations.
     pub fn annotate_trajectory(&self, traj: &RawTrajectory) -> Vec<RegionTuple> {
-        let records = traj.records();
+        let records = traj.records().iter().enumerate();
         let mut out: Vec<RegionTuple> = Vec::new();
-        let mut scratch = RegionScratch::new();
-        for (i, r) in records.iter().enumerate() {
-            let Some(entry) = self.entry_at_with(&mut scratch, r.point) else {
-                continue;
-            };
-            // merge into the previous tuple when it references the same
-            // region and is contiguous (Algorithm 1 lines 10–11: same
-            // regtype ⇒ single tuple)
-            if let Some(last) = out.last_mut() {
-                let same_region = last.place.id == entry.id;
-                let same_type = match (last.category, entry.category) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => same_region,
-                };
-                if last.end == i && same_type {
-                    // extend; when crossing into a sibling cell of the same
-                    // category keep the first region's identity
-                    last.end = i + 1;
-                    last.span = TimeSpan::new(last.span.start, r.t);
-                    continue;
+        match &self.source {
+            Source::Landuse { grid, labels } => {
+                // run fast path: a fix strictly inside the previous fix's
+                // cell has the same owner, so it extends the open tuple
+                // without touching the raster (`EMPTY` and NaN fail all four)
+                let mut run = Rect::EMPTY;
+                for (i, r) in records {
+                    let p = r.point;
+                    if run.min_x < p.x && p.x < run.max_x && run.min_y < p.y && p.y < run.max_y {
+                        let open = out.last_mut().expect("an open run has a tuple");
+                        open.extend(i, r.t);
+                        continue;
+                    }
+                    let cell = landuse_at(grid, p);
+                    run = cell.map_or(Rect::EMPTY, |c| c.rect);
+                    if let Some(c) = cell {
+                        alg1_step(&mut out, i, r.t, landuse_hit(labels, c));
+                    }
                 }
             }
-            out.push(RegionTuple {
-                place: PlaceRef::new(PlaceKind::Region, entry.id, &*entry.label),
-                category: entry.category,
-                span: TimeSpan::new(r.t, r.t),
-                start: i,
-                end: i + 1,
-            });
+            Source::Tree(tree) => {
+                let mut scratch = FrozenRangeScratch::new();
+                for (i, r) in records {
+                    if let Some(e) = smallest_containing(tree, &mut scratch, r.point) {
+                        alg1_step(&mut out, i, r.t, e.hit());
+                    }
+                }
+            }
         }
         out
     }
@@ -292,19 +303,22 @@ impl RegionAnnotator {
     /// (spatial subsumption), a *move* by its bounding rectangle
     /// (intersection). Returns the matching regions for the episode.
     pub fn annotate_episode(&self, traj: &RawTrajectory, episode: &Episode) -> Vec<PlaceRef> {
-        match episode.kind {
-            semitri_episodes::EpisodeKind::Stop => {
-                self.region_at(episode.center).into_iter().collect()
-            }
-            semitri_episodes::EpisodeKind::Move => {
-                let _ = traj;
+        let _ = traj;
+        if episode.kind == semitri_episodes::EpisodeKind::Stop {
+            return self.region_at(episode.center).into_iter().collect();
+        }
+        match &self.source {
+            Source::Landuse { grid, labels } => grid
+                .cells_in(&episode.bbox)
+                .map(|c| landuse_hit(labels, c).place())
+                .collect(),
+            Source::Tree(tree) => {
                 let mut out = Vec::new();
-                self.tree
-                    .for_each_in_with(&mut RegionScratch::new(), &episode.bbox, |e| {
-                        if e.intersects(&episode.bbox) {
-                            out.push(PlaceRef::new(PlaceKind::Region, e.id, &*e.label));
-                        }
-                    });
+                tree.for_each_in_with(&mut FrozenRangeScratch::new(), &episode.bbox, |_, e| {
+                    if e.intersects(&episode.bbox) {
+                        out.push(e.hit().place());
+                    }
+                });
                 out.sort_by_key(|p| p.id);
                 out
             }
@@ -314,26 +328,233 @@ impl RegionAnnotator {
     /// Per-record landuse categories (used by the analytics layer for the
     /// Fig. 9 / Fig. 14 distributions). `None` for uncovered records.
     pub fn categories_for(&self, traj: &RawTrajectory) -> Vec<Option<LanduseCategory>> {
-        let mut scratch = RegionScratch::new();
-        traj.records()
-            .iter()
-            .map(|r| {
-                self.entry_at_with(&mut scratch, r.point)
-                    .and_then(|e| e.category)
-            })
-            .collect()
+        let records = traj.records().iter();
+        match &self.source {
+            Source::Landuse { grid, .. } => records
+                .map(|r| landuse_at(grid, r.point).map(|c| c.category))
+                .collect(),
+            Source::Tree(tree) => {
+                let mut scratch = FrozenRangeScratch::new();
+                records
+                    .map(|r| {
+                        smallest_containing(tree, &mut scratch, r.point).and_then(|e| e.category)
+                    })
+                    .collect()
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use semitri_data::presets::smartphone_users;
     use semitri_data::GpsRecord;
     use semitri_episodes::{SegmentationPolicy, VelocityPolicy};
-    use semitri_geo::Timestamp;
+
+    impl RegionAnnotator {
+        /// The paper-literal landuse join this layer used to ship: every
+        /// cell boxed into a bulk-loaded, frozen R\*-tree and re-found by a
+        /// tree descent per fix. Kept as the raster path's differential
+        /// oracle.
+        fn from_landuse_tree(grid: &LanduseGrid) -> Self {
+            let labels: Vec<Arc<str>> = LanduseCategory::ALL
+                .iter()
+                .map(|c| Arc::from(format!("{} [{}]", c.label(), c.code())))
+                .collect();
+            let entries = grid
+                .cells()
+                .map(|c| RegionEntry {
+                    id: c.id,
+                    label: Arc::clone(&labels[c.category.ordinal()]),
+                    category: Some(c.category),
+                    polygon: None,
+                    rect: c.rect,
+                })
+                .collect();
+            Self::from_entries(entries)
+        }
+    }
 
     fn grid() -> LanduseGrid {
         LanduseGrid::generate(Rect::new(0.0, 0.0, 3_000.0, 3_000.0), 100.0, 5)
+    }
+
+    /// Fractional origin and cell size, bounds no multiple of the cell
+    /// size: nothing about the raster arithmetic comes out round.
+    fn awkward_grid() -> LanduseGrid {
+        LanduseGrid::generate(Rect::new(-123.4, 77.7, 2_871.3, 1_930.1), 93.7, 3)
+    }
+
+    fn traj_of(points: impl IntoIterator<Item = Point>) -> RawTrajectory {
+        let recs = points
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| GpsRecord::new(p, Timestamp(i as f64 * 5.0)))
+            .collect();
+        RawTrajectory::new(1, 1, recs)
+    }
+
+    /// `p` lies on an edge shared by two cells, where the tree's answer was
+    /// an accident of bulk-load order and the raster's is the half-open rule.
+    fn on_shared_edge(g: &LanduseGrid, p: Point) -> bool {
+        g.cells_in(&Rect::from_point(p)).count() > 1
+    }
+
+    fn assert_same_join(
+        g: &LanduseGrid,
+        raster: &RegionAnnotator,
+        tree: &RegionAnnotator,
+        traj: &RawTrajectory,
+    ) {
+        if traj.records().iter().any(|r| on_shared_edge(g, r.point)) {
+            return;
+        }
+        assert_eq!(
+            raster.annotate_trajectory(traj),
+            tree.annotate_trajectory(traj)
+        );
+        assert_eq!(raster.categories_for(traj), tree.categories_for(traj));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn raster_equals_tree_on_uniform_points(
+            pts in proptest::collection::vec((-400.0..3_200.0f64, -200.0..2_300.0f64), 1..300),
+            awkward in 0u8..2,
+        ) {
+            let g = if awkward == 1 { awkward_grid() } else { grid() };
+            let (raster, tree) = (RegionAnnotator::from_landuse(&g), RegionAnnotator::from_landuse_tree(&g));
+            let pts: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+            for &p in pts.iter().filter(|&&p| !on_shared_edge(&g, p)) {
+                // `PlaceRef` equality is id + label; the category rides on Alg. 1
+                prop_assert_eq!(raster.region_at(p), tree.region_at(p), "{:?}", p);
+            }
+            assert_same_join(&g, &raster, &tree, &traj_of(pts));
+        }
+
+        /// Dwell-heavy tracks: runs of fixes jittering inside one cell, then
+        /// a hop — the input the run fast path exists for.
+        #[test]
+        fn raster_equals_tree_on_dwelling_tracks(
+            hops in proptest::collection::vec(
+                ((-100.0..3_100.0f64, -100.0..3_100.0f64), 1usize..40, 0.0..60.0f64),
+                1..12,
+            ),
+            jitter in proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), 40),
+        ) {
+            let g = grid();
+            let (raster, tree) = (RegionAnnotator::from_landuse(&g), RegionAnnotator::from_landuse_tree(&g));
+            let pts = hops.iter().flat_map(|&((x, y), n, spread)| {
+                jitter[..n].iter().map(move |&(dx, dy)| Point::new(x + dx * spread, y + dy * spread))
+            });
+            assert_same_join(&g, &raster, &tree, &traj_of(pts));
+        }
+    }
+
+    #[test]
+    fn raster_equals_tree_on_simulated_days() {
+        // the simulator's phone days: 9 m GPS noise, dropouts, indoor loss
+        for seed in [3, 17] {
+            let dataset = smartphone_users(2, 1, seed);
+            let g = &dataset.city.landuse;
+            let (raster, tree) = (
+                RegionAnnotator::from_landuse(g),
+                RegionAnnotator::from_landuse_tree(g),
+            );
+            assert_eq!(raster.len(), tree.len());
+            for track in &dataset.tracks {
+                assert_same_join(g, &raster, &tree, &track.to_raw());
+            }
+        }
+    }
+
+    /// Points on cell edges, cell corners and the four outer borders.
+    fn snapped_points(g: &LanduseGrid) -> Vec<Point> {
+        let b = g.bounds();
+        let mut pts = Vec::new();
+        for i in 0..=30 {
+            let v = i as f64 * 100.0;
+            for w in [0.0, 40.0, 1_500.0, 1_537.5, 2_900.0, 3_000.0] {
+                pts.push(Point::new(b.min_x + v, b.min_y + w));
+                pts.push(Point::new(b.min_x + w, b.min_y + v));
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn snapped_points_get_one_containing_cell_and_tuples_still_tile() {
+        let g = grid();
+        let ann = RegionAnnotator::from_landuse(&g);
+        let pts = snapped_points(&g);
+        for &p in &pts {
+            let place = ann
+                .region_at(p)
+                .expect("edges and borders are on the raster");
+            let cell = g.cell(place.id).unwrap();
+            assert!(cell.rect.contains_point(p), "{p:?} not in {:?}", cell.rect);
+            assert_eq!(ann.region_at(p), Some(place), "same answer on every call");
+        }
+        // a path along and across edges: Alg. 1 still tiles it
+        let traj = traj_of(pts);
+        let tuples = ann.annotate_trajectory(&traj);
+        assert_eq!(
+            tuples.iter().map(|t| t.record_count()).sum::<usize>(),
+            traj.len()
+        );
+        assert_eq!(tuples, ann.annotate_trajectory(&traj));
+        for w in tuples.windows(2) {
+            assert_eq!(w[0].end, w[1].start);
+            assert_ne!(w[0].category, w[1].category);
+        }
+        for (t, cat) in tuples
+            .iter()
+            .flat_map(|t| (t.start..t.end).map(move |i| (t, i)))
+            .zip(ann.categories_for(&traj))
+        {
+            assert_eq!(t.0.category, cat, "record {}", t.1);
+        }
+    }
+
+    #[test]
+    fn off_raster_and_non_finite_points_are_gaps() {
+        let ann = RegionAnnotator::from_landuse(&grid());
+        let inside = Point::new(1_550.0, 1_550.0);
+        let bad = [
+            Point::new(-0.5, 1_550.0),
+            Point::new(1_550.0, 3_000.5),
+            Point::new(f64::NAN, 1_550.0),
+            Point::new(1_550.0, f64::NAN),
+            Point::new(f64::INFINITY, 1_550.0),
+            Point::new(1_550.0, f64::NEG_INFINITY),
+        ];
+        for p in bad {
+            // a saturating `NaN as usize` would answer with cell 0
+            assert_eq!(ann.region_at(p), None, "{p:?}");
+        }
+        // the run fast path must not carry a dwell across a bad fix
+        let mut pts = vec![inside; 3];
+        for p in bad {
+            pts.push(p);
+            pts.extend([inside; 2]);
+        }
+        let traj = traj_of(pts);
+        let cats = ann.categories_for(&traj);
+        let tuples = ann.annotate_trajectory(&traj);
+        assert_eq!(cats.iter().filter(|c| c.is_none()).count(), bad.len());
+        assert_eq!(
+            tuples.len(),
+            bad.len() + 1,
+            "every bad fix splits the dwell"
+        );
+        for t in &tuples {
+            assert!(cats[t.start..t.end].iter().all(|c| *c == t.category));
+            assert!(t.end == traj.len() || cats[t.end].is_none());
+        }
     }
 
     fn walk_traj() -> RawTrajectory {

@@ -175,10 +175,11 @@ pub struct StreamingAnnotator<'c> {
 impl<'c> StreamingAnnotator<'c> {
     /// Builds a streaming annotator over a city's sources.
     ///
-    /// Every spatial index (landuse regions, road segments, POIs) is
-    /// built once here and frozen into its flat read-optimized snapshot —
-    /// the same backend the batch pipeline defaults to — so a long-lived
-    /// stream pays the dynamic tree's pointer chasing zero times.
+    /// Every spatial index (road segments, POIs) is built once here and
+    /// frozen into its flat read-optimized snapshot — the same backend
+    /// the batch pipeline defaults to — so a long-lived stream pays the
+    /// dynamic tree's pointer chasing zero times. The landuse join needs
+    /// no index: it addresses the raster by arithmetic.
     pub fn new(
         city: &City,
         policy: VelocityPolicy,

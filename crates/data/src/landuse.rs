@@ -131,10 +131,12 @@ impl LanduseCategory {
         }
     }
 
-    /// Position in [`LanduseCategory::ALL`]; stable across runs, used as a
+    /// Position in [`LanduseCategory::ALL`] (the discriminant: `ALL` lists
+    /// the variants in declaration order); stable across runs, used as a
     /// compact array key by the analytics layer.
+    #[inline]
     pub fn ordinal(&self) -> usize {
-        Self::ALL.iter().position(|c| c == self).expect("in ALL")
+        *self as usize
     }
 }
 
@@ -271,33 +273,71 @@ impl LanduseGrid {
         self.categories.is_empty()
     }
 
+    /// Cell edge `k` along one axis. Every rect and every lookup goes
+    /// through this one expression, so neighbouring cells share their edge
+    /// bit for bit and the half-open cells tile without gap or overlap.
+    #[inline]
+    fn edge(origin: f64, cell_size: f64, k: usize) -> f64 {
+        origin + k as f64 * cell_size
+    }
+
     /// Cell by row-major id.
     pub fn cell(&self, id: u64) -> Option<LanduseCell> {
         let idx = id as usize;
         let cat = *self.categories.get(idx)?;
-        let row = idx / self.nx;
-        let col = idx % self.nx;
-        let x0 = self.bounds.min_x + col as f64 * self.cell_size;
-        let y0 = self.bounds.min_y + row as f64 * self.cell_size;
+        let (row, col) = (idx / self.nx, idx % self.nx);
+        let (x, y) = (self.bounds.min_x, self.bounds.min_y);
+        let e = |origin: f64, k: usize| Self::edge(origin, self.cell_size, k);
         Some(LanduseCell {
             id,
-            rect: Rect::new(x0, y0, x0 + self.cell_size, y0 + self.cell_size),
+            rect: Rect::new(e(x, col), e(y, row), e(x, col + 1), e(y, row + 1)),
             category: cat,
         })
     }
 
+    /// Row-major index of the cell that owns `p`; `None` outside the
+    /// raster and for non-finite points (no clamping, unlike
+    /// [`LanduseGrid::cell_at`]). Cells are half-open `[min, max)` per axis,
+    /// so a point on a shared edge belongs to the cell above / to the right
+    /// of it; the last row and column are closed on the raster's outer edge.
+    #[inline]
+    pub fn index_at(&self, p: Point) -> Option<usize> {
+        let col = Self::axis_index(p.x, self.bounds.min_x, self.cell_size, self.nx)?;
+        let row = Self::axis_index(p.y, self.bounds.min_y, self.cell_size, self.ny)?;
+        Some(row * self.nx + col)
+    }
+
+    /// The `k < n` with `edge(k) <= v < edge(k + 1)` (`<=` for the last).
+    #[inline]
+    fn axis_index(v: f64, origin: f64, cell_size: f64, n: usize) -> Option<usize> {
+        // written so that NaN fails it: a saturating `NaN as usize` is 0
+        if !(v >= origin && v <= Self::edge(origin, cell_size, n)) {
+            return None;
+        }
+        // the division can round across an edge: confirm the guess against
+        // the edges the cell's rect is built from and step where it did
+        let mut k = (((v - origin) / cell_size) as usize).min(n - 1);
+        while k + 1 < n && v >= Self::edge(origin, cell_size, k + 1) {
+            k += 1;
+        }
+        while v < Self::edge(origin, cell_size, k) {
+            k -= 1;
+        }
+        Some(k)
+    }
+
     /// The cell containing `p` (clamped to the border cells for points just
-    /// outside the bounds, mirroring how a national grid is queried).
+    /// outside the bounds, mirroring how a national grid is queried): the
+    /// [`LanduseGrid::index_at`] owner of `p` moved onto the raster.
     pub fn cell_at(&self, p: Point) -> LanduseCell {
-        let col = (((p.x - self.bounds.min_x) / self.cell_size)
-            .floor()
-            .max(0.0) as usize)
-            .min(self.nx - 1);
-        let row = (((p.y - self.bounds.min_y) / self.cell_size)
-            .floor()
-            .max(0.0) as usize)
-            .min(self.ny - 1);
-        self.cell((row * self.nx + col) as u64).expect("in range")
+        let (x, y, cs) = (self.bounds.min_x, self.bounds.min_y, self.cell_size);
+        // `NaN.max(lo)` is `lo`
+        let on_raster = Point::new(
+            p.x.max(x).min(Self::edge(x, cs, self.nx)),
+            p.y.max(y).min(Self::edge(y, cs, self.ny)),
+        );
+        let idx = self.index_at(on_raster).expect("clamped onto the raster");
+        self.cell(idx as u64).expect("in range")
     }
 
     /// Reclassifies the cell containing `p` (clamped to the border cells
@@ -313,6 +353,21 @@ impl LanduseGrid {
     /// Iterates over all cells.
     pub fn cells(&self) -> impl Iterator<Item = LanduseCell> + '_ {
         (0..self.categories.len() as u64).map(move |id| self.cell(id).expect("in range"))
+    }
+
+    /// The cells whose closed rect intersects `r` (touching counts), in id
+    /// order: the arithmetic range widened by one cell, then the exact test.
+    pub fn cells_in<'a>(&'a self, r: &'a Rect) -> impl Iterator<Item = LanduseCell> + 'a {
+        // saturating casts: below the origin and NaN give 0, +inf gives MAX
+        let span = |lo: f64, hi: f64, origin: f64, n: usize| {
+            let k = |v: f64| ((v - origin) / self.cell_size) as usize;
+            k(lo).saturating_sub(1).min(n - 1)..=k(hi).saturating_add(1).min(n - 1)
+        };
+        let cols = span(r.min_x, r.max_x, self.bounds.min_x, self.nx);
+        span(r.min_y, r.max_y, self.bounds.min_y, self.ny)
+            .flat_map(move |row| cols.clone().map(move |col| row * self.nx + col))
+            .map(|idx| self.cell(idx as u64).expect("in range"))
+            .filter(move |c| c.rect.intersects(r))
     }
 
     /// Per-category cell counts, indexed by [`LanduseCategory::ordinal`].
@@ -347,13 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn ordinals_are_dense_and_unique() {
-        let mut seen = [false; 17];
-        for c in LanduseCategory::ALL {
-            assert!(!seen[c.ordinal()]);
-            seen[c.ordinal()] = true;
+    fn ordinal_is_the_position_in_all() {
+        // `ordinal` is the discriminant cast; this holds it to `ALL`'s order
+        for (i, c) in LanduseCategory::ALL.iter().enumerate() {
+            assert_eq!(c.ordinal(), i, "{c:?}");
         }
-        assert!(seen.iter().all(|&b| b));
     }
 
     #[test]
@@ -424,5 +477,129 @@ mod tests {
         assert_eq!(cells.len(), 6);
         assert_eq!(cells[0].rect, Rect::new(0.0, 0.0, 100.0, 100.0));
         assert_eq!(cells[5].rect, Rect::new(200.0, 100.0, 300.0, 200.0));
+    }
+
+    /// A raster nothing is round about: fractional origin and cell size,
+    /// bounds that are no multiple of the cell size (the last row and
+    /// column overhang them).
+    fn awkward_grid() -> LanduseGrid {
+        LanduseGrid::generate(Rect::new(-123.4, 77.7, 2_871.3, 1_930.1), 93.7, 3)
+    }
+
+    /// `f64::next_up` (newer than the workspace's `rust-version`) for
+    /// finite values.
+    fn up(v: f64) -> f64 {
+        match v {
+            0.0 => f64::from_bits(1),
+            v if v > 0.0 => f64::from_bits(v.to_bits() + 1),
+            v => f64::from_bits(v.to_bits() - 1),
+        }
+    }
+
+    fn down(v: f64) -> f64 {
+        -up(-v)
+    }
+
+    /// Every point made of an edge coordinate, or of a value one ulp beside
+    /// one, on either axis — cell corners, edges and the outer borders.
+    fn edge_probes(g: &LanduseGrid) -> Vec<Point> {
+        let axis = |origin: f64, n: usize| -> Vec<f64> {
+            (0..=n)
+                .map(|k| LanduseGrid::edge(origin, g.cell_size, k))
+                .flat_map(|e| [down(e), e, up(e), e + 0.37 * g.cell_size])
+                .collect()
+        };
+        let ys = axis(g.bounds.min_y, g.ny);
+        axis(g.bounds.min_x, g.nx)
+            .into_iter()
+            .flat_map(|x| ys.iter().map(move |&y| Point::new(x, y)))
+            .collect()
+    }
+
+    #[test]
+    fn index_at_owner_contains_the_point_on_and_beside_every_edge() {
+        for g in [small_grid(), awkward_grid()] {
+            let last = g.cell(g.len() as u64 - 1).unwrap().rect;
+            let raster = Rect::new(g.bounds.min_x, g.bounds.min_y, last.max_x, last.max_y);
+            for p in edge_probes(&g) {
+                let Some(idx) = g.index_at(p) else {
+                    assert!(!raster.contains_point(p), "{p:?} is on the raster");
+                    continue;
+                };
+                let r = g.cell(idx as u64).unwrap().rect;
+                assert!(r.contains_point(p), "{p:?} not in its owner {r:?}");
+                // half-open: an owner's upper edge is the raster's outer edge
+                assert!(p.x < r.max_x || r.max_x == raster.max_x, "{p:?} in {r:?}");
+                assert!(p.y < r.max_y || r.max_y == raster.max_y, "{p:?} in {r:?}");
+                assert_eq!(g.index_at(p), Some(idx), "same answer on every call");
+                assert_eq!(
+                    g.cell_at(p).id,
+                    idx as u64,
+                    "agrees with the clamped lookup"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cells_tile_the_raster_exactly() {
+        let g = awkward_grid();
+        for c in g.cells() {
+            let (row, col) = (c.id as usize / g.nx, c.id as usize % g.nx);
+            if col + 1 < g.nx {
+                assert_eq!(c.rect.max_x, g.cell(c.id + 1).unwrap().rect.min_x);
+            }
+            if row + 1 < g.ny {
+                assert_eq!(c.rect.max_y, g.cell(c.id + g.nx as u64).unwrap().rect.min_y);
+            }
+        }
+    }
+
+    #[test]
+    fn index_at_rejects_what_is_not_on_the_raster() {
+        let g = small_grid();
+        // a saturating `NaN as usize` is 0: without the range test these
+        // would land in cell 0
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.001,
+            5_000.001,
+            1e300,
+        ] {
+            assert_eq!(g.index_at(Point::new(bad, 2_500.0)), None, "x = {bad}");
+            assert_eq!(g.index_at(Point::new(2_500.0, bad)), None, "y = {bad}");
+        }
+        assert_eq!(g.index_at(Point::new(0.0, 0.0)), Some(0));
+        assert_eq!(g.index_at(Point::new(5_000.0, 5_000.0)), Some(g.len() - 1));
+        assert_eq!(
+            g.index_at(Point::new(100.0, 100.0)),
+            Some(51),
+            "upper-right owns a corner"
+        );
+    }
+
+    #[test]
+    fn cells_in_is_the_closed_intersection_in_id_order() {
+        let g = awkward_grid();
+        let queries = [
+            Rect::new(100.0, 300.0, 700.0, 350.0),
+            Rect::new(-5_000.0, -5_000.0, 0.0, 171.4), // sticks out, touches an edge
+            Rect::new(251.4, 171.4, 251.4, 171.4),     // a corner: four cells
+            Rect::new(9_000.0, 9_000.0, 9_100.0, 9_100.0),
+            Rect::EMPTY,
+            Rect::from_point(Point::new(f64::NAN, 0.0)),
+        ];
+        for q in queries {
+            let got: Vec<u64> = g.cells_in(&q).map(|c| c.id).collect();
+            let want: Vec<u64> = g
+                .cells()
+                .filter(|c| c.rect.intersects(&q))
+                .map(|c| c.id)
+                .collect();
+            assert_eq!(got, want, "{q:?}");
+        }
+        assert_eq!(g.cells_in(&queries[2]).count(), 4);
     }
 }

@@ -32,9 +32,9 @@
 //! * **Episode** — cleaning and segmentation walk the record slice with
 //!   index cursors (no temporary per-fix collections); allocations happen
 //!   per trajectory for the output buffers.
-//! * **Region** — the Algorithm 1 landuse join runs R\*-tree lookups
-//!   through a reusable traversal stack (`RangeScratch`); labels are
-//!   interned `Arc<str>`s cloned by reference count, never re-formatted.
+//! * **Region** — the Algorithm 1 landuse join addresses raster cells by
+//!   arithmetic and extends a same-cell run with four comparisons; one
+//!   label per category is formatted at build time, never per record.
 //! * **Line** — map matching threads a `MatchScratch` arena (candidate
 //!   buffers, epoch-stamped slot map, kernel-weight rows, cell cache)
 //!   through every episode; per-fix work is pure arithmetic over those

@@ -26,6 +26,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `total` when it is behind — for mirroring a
+    /// monotone count its owner keeps elsewhere. Never lowers it, so
+    /// concurrent publishes of older totals are harmless.
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

@@ -4,13 +4,14 @@
 //! bytes before/after compression, block-skip hit rates, query counts);
 //! [`StoreMetrics`] mirrors that state into a [`MetricsRegistry`] so a
 //! `/metrics` scrape shows the storage engine next to the `stage.*` and
-//! `server.*` schemas. Storage state is *published* (gauges set from a
-//! snapshot, typically right before a scrape), while query latencies are
+//! `server.*` schemas. Storage state is *published* (gauges set, and the
+//! monotone query counts raised, from a snapshot, typically right before a
+//! scrape), while query latencies are
 //! *recorded* live into the `store.query_secs` histogram by whoever
 //! times the query — the store itself stays free of timing syscalls on
 //! its read path.
 
-use crate::{Gauge, Histogram, MetricsRegistry};
+use crate::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Arc;
 
 /// Pre-resolved handles for every `store.*` metric.
@@ -36,11 +37,11 @@ pub struct StoreMetrics {
     /// `store.label_bits` — bits held by the bitpacked label streams.
     pub label_bits: Arc<Gauge>,
     /// `store.time_queries` — time-window episode queries served.
-    pub time_queries: Arc<Gauge>,
+    pub time_queries: Arc<Counter>,
     /// `store.rect_queries` — spatial episode queries served.
-    pub rect_queries: Arc<Gauge>,
+    pub rect_queries: Arc<Counter>,
     /// `store.olap_queries` — warehouse aggregate scans served.
-    pub olap_queries: Arc<Gauge>,
+    pub olap_queries: Arc<Counter>,
     /// `store.ep_blocks_checked` — episode blocks examined by queries.
     pub ep_blocks_checked: Arc<Gauge>,
     /// `store.ep_blocks_skipped` — blocks skipped via min/max summaries.
@@ -54,7 +55,7 @@ pub struct StoreMetrics {
 
 impl StoreMetrics {
     /// Every gauge name in the schema, in report order.
-    pub const GAUGES: [&'static str; 16] = [
+    pub const GAUGES: [&'static str; 13] = [
         "store.trajectories",
         "store.episodes",
         "store.ssts",
@@ -65,12 +66,16 @@ impl StoreMetrics {
         "store.live_tuples",
         "store.dead_tuples",
         "store.label_bits",
-        "store.time_queries",
-        "store.rect_queries",
-        "store.olap_queries",
         "store.ep_blocks_checked",
         "store.ep_blocks_skipped",
         "store.log_bytes",
+    ];
+
+    /// Every counter name in the schema: the query counts only ever grow.
+    pub const COUNTERS: [&'static str; 3] = [
+        "store.time_queries",
+        "store.rect_queries",
+        "store.olap_queries",
     ];
 
     /// Every histogram name in the schema.
@@ -90,9 +95,9 @@ impl StoreMetrics {
             live_tuples: registry.gauge("store.live_tuples"),
             dead_tuples: registry.gauge("store.dead_tuples"),
             label_bits: registry.gauge("store.label_bits"),
-            time_queries: registry.gauge("store.time_queries"),
-            rect_queries: registry.gauge("store.rect_queries"),
-            olap_queries: registry.gauge("store.olap_queries"),
+            time_queries: registry.counter("store.time_queries"),
+            rect_queries: registry.counter("store.rect_queries"),
+            olap_queries: registry.counter("store.olap_queries"),
             ep_blocks_checked: registry.gauge("store.ep_blocks_checked"),
             ep_blocks_skipped: registry.gauge("store.ep_blocks_skipped"),
             log_bytes: registry.gauge("store.log_bytes"),
@@ -113,8 +118,34 @@ mod tests {
         for name in StoreMetrics::GAUGES {
             assert!(snap.gauges.contains_key(name), "{name} not pre-registered");
         }
+        for name in StoreMetrics::COUNTERS {
+            assert!(
+                snap.counters.contains_key(name),
+                "{name} not pre-registered"
+            );
+            assert!(
+                !snap.gauges.contains_key(name),
+                "{name} is a count, not a gauge"
+            );
+        }
         for name in StoreMetrics::HISTOGRAMS {
             assert!(snap.histogram(name).is_some(), "{name} not pre-registered");
+        }
+    }
+
+    #[test]
+    fn query_counts_scrape_as_counters() {
+        let registry = MetricsRegistry::new();
+        let m = StoreMetrics::new(&registry);
+        m.time_queries.raise_to(9);
+        m.olap_queries.raise_to(6);
+        m.olap_queries.raise_to(4); // a stale publish must not take it back
+        let scrape = registry.snapshot().to_json_lines();
+        for (name, value) in [("time", 9), ("rect", 0), ("olap", 6)] {
+            let line = format!(
+                "{{\"type\":\"counter\",\"name\":\"store.{name}_queries\",\"value\":{value}}}\n"
+            );
+            assert!(scrape.contains(&line), "{line} not in:\n{scrape}");
         }
     }
 

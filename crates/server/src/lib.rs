@@ -103,29 +103,11 @@ impl Response {
         let mut body = String::from("{\"type\":\"error\",\"status\":");
         body.push_str(&status.to_string());
         body.push_str(",\"message\":");
-        // reuse the wire escaper so error bodies are valid JSON too
-        body.push_str(&wire_escape(msg));
+        // the wire escaper, so error bodies are valid JSON too
+        wire::push_json_str(&mut body, msg);
         body.push_str("}\n");
         Self::json(status, body)
     }
-}
-
-fn wire_escape(s: &str) -> String {
-    let mut out = String::new();
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The annotation server: a live (generation-swapped) pipeline plus

@@ -803,7 +803,7 @@ impl SemanticTrajectoryStore {
         self.inner.lock().matrix.top_poi_visits(n)
     }
 
-    /// Publishes the current counters into the `store.*` gauge schema —
+    /// Publishes the current counters into the `store.*` metric schema —
     /// called by the annotation server right before a `/metrics` scrape
     /// so the storage engine reports next to the pipeline stages.
     pub fn publish_metrics(&self, m: &semitri_obs::StoreMetrics) {
@@ -818,9 +818,9 @@ impl SemanticTrajectoryStore {
         m.live_tuples.set(s.live_tuples as i64);
         m.dead_tuples.set(s.dead_tuples as i64);
         m.label_bits.set(s.label_bits as i64);
-        m.time_queries.set(s.time_queries as i64);
-        m.rect_queries.set(s.rect_queries as i64);
-        m.olap_queries.set(s.olap_queries as i64);
+        m.time_queries.raise_to(s.time_queries);
+        m.rect_queries.raise_to(s.rect_queries);
+        m.olap_queries.raise_to(s.olap_queries);
         m.ep_blocks_checked.set(s.ep_blocks_checked as i64);
         m.ep_blocks_skipped.set(s.ep_blocks_skipped as i64);
         m.log_bytes.set(s.log_bytes as i64);

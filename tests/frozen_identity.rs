@@ -333,6 +333,22 @@ fn annotation_across_a_generation_swap_matches_pure_next_generation() {
              (oracle {oracle:?})"
         );
 
+        // the landuse revision is served by the next generation's raster
+        // copy and not by the pinned one: `SetLanduse` edits the city's
+        // grid, and the region layer answers from its own copy of it
+        let landuse_label = |s: &SeMiTri| {
+            let region = s.region_annotator().region_at(far);
+            region.expect("the corner is on the raster").label
+        };
+        let relabelled = pure1.city().landuse.cell_at(far).category;
+        assert_ne!(relabelled, landuse_before);
+        assert!(landuse_label(pin0.snapshot()).starts_with(landuse_before.label()));
+        assert!(landuse_label(pure1).starts_with(relabelled.label()));
+        assert_eq!(
+            pure1.region_annotator().categories_for(&dwell)[0],
+            Some(relabelled)
+        );
+
         // the swap was real: inside the edited corner the generations
         // disagree (old pins keep the old world, new pins see the edits)
         let dwell0 = semantic_repr(&pin0.snapshot().annotate(&dwell));
