@@ -603,6 +603,7 @@ mod tests {
             ep_blocks_checked: 10,
             ep_blocks_skipped: 7,
             log_bytes: 0,
+            syncs: 0,
         };
         let speedups = StoreSpeedups {
             landuse_hour_vs_rows: 2.0,

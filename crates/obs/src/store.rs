@@ -48,6 +48,8 @@ pub struct StoreMetrics {
     pub ep_blocks_skipped: Arc<Gauge>,
     /// `store.log_bytes` — durable log size (0 when in-memory).
     pub log_bytes: Arc<Gauge>,
+    /// `store.syncs` — fsync-family calls the durable log has issued.
+    pub syncs: Arc<Counter>,
     /// `store.query_secs` — wall-clock latency of store queries, timed
     /// by the caller (the server's write-through path).
     pub query_secs: Arc<Histogram>,
@@ -71,11 +73,13 @@ impl StoreMetrics {
         "store.log_bytes",
     ];
 
-    /// Every counter name in the schema: the query counts only ever grow.
-    pub const COUNTERS: [&'static str; 3] = [
+    /// Every counter name in the schema: the query and sync counts only
+    /// ever grow.
+    pub const COUNTERS: [&'static str; 4] = [
         "store.time_queries",
         "store.rect_queries",
         "store.olap_queries",
+        "store.syncs",
     ];
 
     /// Every histogram name in the schema.
@@ -101,6 +105,7 @@ impl StoreMetrics {
             ep_blocks_checked: registry.gauge("store.ep_blocks_checked"),
             ep_blocks_skipped: registry.gauge("store.ep_blocks_skipped"),
             log_bytes: registry.gauge("store.log_bytes"),
+            syncs: registry.counter("store.syncs"),
             query_secs: registry.histogram("store.query_secs"),
         }
     }
@@ -140,11 +145,16 @@ mod tests {
         m.time_queries.raise_to(9);
         m.olap_queries.raise_to(6);
         m.olap_queries.raise_to(4); // a stale publish must not take it back
+        m.syncs.raise_to(5);
         let scrape = registry.snapshot().to_json_lines();
-        for (name, value) in [("time", 9), ("rect", 0), ("olap", 6)] {
-            let line = format!(
-                "{{\"type\":\"counter\",\"name\":\"store.{name}_queries\",\"value\":{value}}}\n"
-            );
+        for (name, value) in [
+            ("time_queries", 9),
+            ("rect_queries", 0),
+            ("olap_queries", 6),
+            ("syncs", 5),
+        ] {
+            let line =
+                format!("{{\"type\":\"counter\",\"name\":\"store.{name}\",\"value\":{value}}}\n");
             assert!(scrape.contains(&line), "{line} not in:\n{scrape}");
         }
     }

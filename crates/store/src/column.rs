@@ -265,38 +265,48 @@ fn mask(width: u32) -> u64 {
     }
 }
 
-/// Streams values at arbitrary bit widths into a byte buffer (LSB-first).
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    out: Vec<u8>,
+/// Streams values at arbitrary bit widths onto the end of a byte buffer
+/// (LSB-first), a whole 64-bit word at a time.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
     acc: u64,
     filled: u32,
 }
 
-impl BitWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> BitWriter<'a> {
+    /// Creates a writer appending to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Self {
+            out,
+            acc: 0,
+            filled: 0,
+        }
     }
 
     /// Appends the low `width` bits of `v`.
+    #[inline]
     pub fn put(&mut self, v: u64, width: u32) {
         debug_assert!(width <= 57, "BitWriter width must be ≤ 57");
-        self.acc |= (v & mask(width)) << self.filled;
+        let v = v & mask(width);
+        self.acc |= v << self.filled;
         self.filled += width;
-        while self.filled >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.filled -= 8;
+        if self.filled >= 64 {
+            self.out.extend_from_slice(&self.acc.to_le_bytes());
+            self.filled -= 64;
+            // the bits of `v` that did not fit in the word just written
+            self.acc = if self.filled == 0 {
+                0
+            } else {
+                v >> (width - self.filled)
+            };
         }
     }
 
-    /// Flushes the partial byte and returns the buffer.
-    pub fn finish(mut self) -> Vec<u8> {
-        if self.filled > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-        }
-        self.out
+    /// Flushes the partial word, its last byte zero-padded.
+    pub fn finish(self) {
+        let bytes = self.filled.div_ceil(8) as usize;
+        self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
     }
 }
 
@@ -346,61 +356,61 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Writes `values` with a PFOR-style layout: a base bit width chosen to
-/// minimize total size, all values packed at that width, and the few that
-/// overflow it patched from an exception list of `(index, value)` varint
-/// pairs. Returns the encoded bytes.
+/// Appends `values` to `out` with a PFOR-style layout: a base bit width
+/// chosen to minimize total size, all values packed at that width, and the
+/// few that overflow it patched from an exception list of `(index, value)`
+/// varint pairs.
 ///
 /// Layout: `width u8 · n_exceptions varint · packed payload bytes varint
 /// length + bytes · exceptions (index varint, value varint)*`.
-pub fn pfor_encode(values: &[u64]) -> Vec<u8> {
+pub fn pfor_encode(values: &[u64], out: &mut Vec<u8>) {
     // histogram of required widths
-    let mut hist = [0usize; 65];
+    let mut hist = [0u64; 65];
     for &v in values {
         hist[bit_width(v) as usize] += 1;
     }
-    // pick the width minimizing packed bits + exception bytes
+    // pick the width minimizing packed bits + exception bytes; the values
+    // wider than `w` are the suffix sum of the histogram past `w`
+    let n = values.len() as u64;
     let mut best_w = 0u32;
     let mut best_cost = u64::MAX;
+    let mut best_exceptions = 0u64;
+    let mut exceptions = n - hist[0];
     for w in 0..=57u32 {
-        let mut cost = values.len() as u64 * u64::from(w);
-        let mut exceptions = 0u64;
-        for (width, &count) in hist.iter().enumerate() {
-            if width as u32 > w {
-                exceptions += count as u64;
-            }
-        }
         // an exception costs roughly index varint (1–2 B) + value varint
-        cost += exceptions * 8 * 4;
+        let cost = n * u64::from(w) + exceptions * 8 * 4;
         if cost < best_cost {
             best_cost = cost;
             best_w = w;
+            best_exceptions = exceptions;
         }
         if exceptions == 0 {
             break; // larger widths only cost more
         }
+        exceptions -= hist[w as usize + 1];
     }
-    let mut writer = BitWriter::new();
-    let mut exceptions: Vec<(usize, u64)> = Vec::new();
-    for (i, &v) in values.iter().enumerate() {
-        if bit_width(v) > best_w {
-            exceptions.push((i, v));
-            writer.put(0, best_w);
-        } else {
-            writer.put(v, best_w);
+    let packed_len = (n * u64::from(best_w)).div_ceil(8);
+    out.reserve(packed_len as usize + 8);
+    out.push(best_w as u8);
+    write_varint(out, best_exceptions);
+    write_varint(out, packed_len);
+    let limit = mask(best_w);
+    if best_w > 0 {
+        let mut writer = BitWriter::new(out);
+        for &v in values {
+            // exceptions pack as 0 and are patched from the list below
+            writer.put(if v > limit { 0 } else { v }, best_w);
+        }
+        writer.finish();
+    }
+    if best_exceptions > 0 {
+        for (i, &v) in values.iter().enumerate() {
+            if v > limit {
+                write_varint(out, i as u64);
+                write_varint(out, v);
+            }
         }
     }
-    let packed = writer.finish();
-    let mut out = Vec::with_capacity(packed.len() + 8);
-    out.push(best_w as u8);
-    write_varint(&mut out, exceptions.len() as u64);
-    write_varint(&mut out, packed.len() as u64);
-    out.extend_from_slice(&packed);
-    for (i, v) in exceptions {
-        write_varint(&mut out, i as u64);
-        write_varint(&mut out, v);
-    }
-    out
 }
 
 /// Decodes `count` values written by [`pfor_encode`] from `src`.
@@ -506,12 +516,13 @@ mod tests {
 
     #[test]
     fn bit_writer_reader_roundtrip() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         let widths = [0u32, 1, 3, 11, 23, 33, 57];
         for (i, &width) in widths.iter().cycle().take(500).enumerate() {
             w.put(i as u64, width);
         }
-        let bytes = w.finish();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for (i, &width) in widths.iter().cycle().take(500).enumerate() {
             assert_eq!(r.get(width), (i as u64) & ((1u64 << width) - 1));
@@ -523,7 +534,8 @@ mod tests {
         let mut values: Vec<u64> = (0..300).map(|i| (i * 7) % 900).collect();
         values[13] = u64::from(u32::MAX); // spike must become an exception
         values[255] = 1 << 40;
-        let bytes = pfor_encode(&values);
+        let mut bytes = Vec::new();
+        pfor_encode(&values, &mut bytes);
         // the spikes must not inflate the base width to 40 bits
         assert!(bytes[0] <= 16, "base width {} too wide", bytes[0]);
         let mut out = Vec::new();
@@ -533,13 +545,15 @@ mod tests {
 
     #[test]
     fn pfor_empty_and_constant() {
-        let bytes = pfor_encode(&[]);
+        let mut bytes = Vec::new();
+        pfor_encode(&[], &mut bytes);
         let mut out = Vec::new();
         pfor_decode(&mut bytes.as_slice(), 0, &mut out).unwrap();
         assert!(out.is_empty());
 
         let zeros = vec![0u64; 1000];
-        let bytes = pfor_encode(&zeros);
+        let mut bytes = Vec::new();
+        pfor_encode(&zeros, &mut bytes);
         assert!(bytes.len() < 16, "all-zero column must be ~free");
         let mut out = Vec::new();
         pfor_decode(&mut bytes.as_slice(), zeros.len(), &mut out).unwrap();
@@ -549,7 +563,10 @@ mod tests {
     #[test]
     fn pfor_truncation_detected() {
         let values: Vec<u64> = (0..100).collect();
-        let bytes = pfor_encode(&values);
+        let mut bytes = vec![0xaa]; // appends after what the caller holds
+        pfor_encode(&values, &mut bytes);
+        assert_eq!(bytes[0], 0xaa);
+        let bytes = &bytes[1..];
         let mut out = Vec::new();
         assert!(pfor_decode(&mut &bytes[..bytes.len() - 2], 100, &mut out).is_err());
     }

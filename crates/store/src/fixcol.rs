@@ -78,55 +78,33 @@ impl FixBlock {
             bbox.expand_to(f.point);
         }
 
+        // header: count u16 LE, flags u8 (patched once the columns are
+        // written). The min/max time and bbox summaries are fully
+        // derivable from the columns, so they are kept in memory for block
+        // skipping but never serialized — `from_bytes` decodes every
+        // column for validation anyway and re-derives them for free.
+        let mut bytes = Vec::with_capacity(fixes.len() * 4 + 64);
+        bytes.extend_from_slice(&(count as u16).to_le_bytes());
+        bytes.push(0);
+        let mut residuals = Vec::with_capacity(fixes.len());
         let mut flags = 0u8;
-        let mut out = Vec::with_capacity(fixes.len() * 4 + 64);
-
-        // --- timestamp column ---
-        let ts: Vec<f64> = fixes.iter().map(|f| f.t.0).collect();
-        let ms = quantize_exact(&ts, 1_000.0, MAX_FIXED_TIME);
-        let time_payload = match &ms {
-            Some(ms) => encode_fixed_series(ms, true),
-            None => {
-                flags |= FLAG_TIME_RAW;
-                raw_f64(&ts)
-            }
-        };
-
-        // --- position columns ---
-        let xs: Vec<f64> = fixes.iter().map(|f| f.point.x).collect();
-        let ys: Vec<f64> = fixes.iter().map(|f| f.point.y).collect();
-        let x_payload = match quantize(&xs, 100.0, MAX_FIXED_COORD) {
-            Some(cm) => encode_fixed_series(&cm, false),
-            None => {
-                flags |= FLAG_X_RAW;
-                raw_f64(&xs)
-            }
-        };
-        let y_payload = match quantize(&ys, 100.0, MAX_FIXED_COORD) {
-            Some(cm) => encode_fixed_series(&cm, false),
-            None => {
-                flags |= FLAG_Y_RAW;
-                raw_f64(&ys)
-            }
-        };
-
-        // header: count u16 LE, flags u8. The min/max time and bbox
-        // summaries are fully derivable from the columns, so they are
-        // kept in memory for block skipping but never serialized —
-        // `from_bytes` decodes every column for validation anyway and
-        // re-derives them for free.
-        out.extend_from_slice(&(count as u16).to_le_bytes());
-        out.push(flags);
-        out.extend_from_slice(&time_payload);
-        out.extend_from_slice(&x_payload);
-        out.extend_from_slice(&y_payload);
+        if !TIME.encode(&mut bytes, &mut residuals, fixes, |f| f.t.0) {
+            flags |= FLAG_TIME_RAW;
+        }
+        if !POSITION.encode(&mut bytes, &mut residuals, fixes, |f| f.point.x) {
+            flags |= FLAG_X_RAW;
+        }
+        if !POSITION.encode(&mut bytes, &mut residuals, fixes, |f| f.point.y) {
+            flags |= FLAG_Y_RAW;
+        }
+        bytes[2] = flags;
 
         Self {
             count,
             t_min: Timestamp(t_min),
             t_max: Timestamp(t_max),
             bbox,
-            bytes: out,
+            bytes,
         }
     }
 
@@ -169,9 +147,9 @@ impl FixBlock {
         let mut src = self.bytes.as_slice();
         let count = read_header(&mut src)? as usize;
         let flags = self.bytes[2];
-        let ts = decode_column(&mut src, count, flags & FLAG_TIME_RAW != 0, 1_000.0, true)?;
-        let xs = decode_column(&mut src, count, flags & FLAG_X_RAW != 0, 100.0, false)?;
-        let ys = decode_column(&mut src, count, flags & FLAG_Y_RAW != 0, 100.0, false)?;
+        let ts = TIME.decode(&mut src, count, flags & FLAG_TIME_RAW != 0)?;
+        let xs = POSITION.decode(&mut src, count, flags & FLAG_X_RAW != 0)?;
+        let ys = POSITION.decode(&mut src, count, flags & FLAG_Y_RAW != 0)?;
         out.reserve(count);
         for i in 0..count {
             out.push(GpsRecord::new(Point::new(xs[i], ys[i]), Timestamp(ts[i])));
@@ -195,58 +173,130 @@ fn read_header(src: &mut &[u8]) -> io::Result<u32> {
     Ok(u32::from(u16::from_le_bytes([h[0], h[1]])))
 }
 
-/// Quantizes `values` by `scale`, returning `None` when any value is
-/// non-finite or out of fixed-point range.
-fn quantize(values: &[f64], scale: f64, max_abs: f64) -> Option<Vec<i64>> {
-    let mut out = Vec::with_capacity(values.len());
-    for &v in values {
-        if !v.is_finite() || v.abs() > max_abs {
-            return None;
-        }
-        out.push((v * scale).round() as i64);
-    }
-    Some(out)
+/// How one block column maps onto fixed point.
+struct FixedPoint {
+    /// Units per stored unit (1 000 for milliseconds, 100 for centimeters).
+    scale: f64,
+    /// Largest |value| eligible for fixed point.
+    max_abs: f64,
+    /// Require the quantization to invert bit-exactly (`q / scale == v`):
+    /// the timestamp column's losslessness guarantee.
+    exact: bool,
+    /// Delta-of-delta residuals (timestamps) instead of plain deltas.
+    dod: bool,
 }
 
-/// Like [`quantize`] but additionally requires the quantization to be
-/// bit-exact invertible (`(q as f64) / scale == v`): used for the
-/// timestamp column's losslessness guarantee.
-fn quantize_exact(values: &[f64], scale: f64, max_abs: f64) -> Option<Vec<i64>> {
-    let q = quantize(values, scale, max_abs)?;
-    for (&v, &qi) in values.iter().zip(&q) {
-        if (qi as f64 / scale).to_bits() != v.to_bits() {
+const TIME: FixedPoint = FixedPoint {
+    scale: 1_000.0,
+    max_abs: MAX_FIXED_TIME,
+    exact: true,
+    dod: true,
+};
+
+const POSITION: FixedPoint = FixedPoint {
+    scale: 100.0,
+    max_abs: MAX_FIXED_COORD,
+    exact: false,
+    dod: false,
+};
+
+impl FixedPoint {
+    /// `round(v · scale)`, or `None` when `v` is non-finite, out of range
+    /// or (for an exact column) does not survive the round trip.
+    #[inline]
+    fn to_fixed(&self, v: f64) -> Option<i64> {
+        if !v.is_finite() || v.abs() > self.max_abs {
             return None;
         }
+        // branchless `f64::round` (half away from zero): truncation is
+        // exact and so is the fraction `x - t`, for every |x| < 2^63 —
+        // the range caps keep |x| ≤ 1e17
+        let x = v * self.scale;
+        let t = x as i64;
+        let f = x - t as f64;
+        let q = t + i64::from(f >= 0.5) - i64::from(f <= -0.5);
+        if self.exact && (q as f64 / self.scale).to_bits() != v.to_bits() {
+            return None;
+        }
+        Some(q)
     }
-    Some(q)
-}
 
-/// Encodes a quantized series: first value (zigzag varint), then either
-/// delta-of-delta (`dod = true`, timestamps) or plain delta residuals
-/// PFOR-bitpacked.
-fn encode_fixed_series(q: &[i64], dod: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(q.len() * 2 + 16);
-    write_varint(&mut out, zigzag(q[0]));
-    if q.len() == 1 {
-        return out;
-    }
-    let mut residuals = Vec::with_capacity(q.len() - 1);
-    if dod {
-        let first_delta = q[1].wrapping_sub(q[0]);
-        write_varint(&mut out, zigzag(first_delta));
-        let mut prev_delta = first_delta;
-        for w in q.windows(2).skip(1) {
-            let delta = w[1].wrapping_sub(w[0]);
-            residuals.push(zigzag(delta.wrapping_sub(prev_delta)));
-            prev_delta = delta;
+    /// Appends the column `value(fix)` over `fixes` to `out`: first value
+    /// (zigzag varint), then for timestamps the first delta (zigzag
+    /// varint), then the delta-of-delta or delta residuals PFOR-bitpacked.
+    /// At the first value that does not fit fixed point the column is
+    /// rewritten as raw `f64` bits instead; returns whether it stayed in
+    /// fixed point.
+    #[inline]
+    fn encode(
+        &self,
+        out: &mut Vec<u8>,
+        residuals: &mut Vec<u64>,
+        fixes: &[GpsRecord],
+        value: impl Fn(&GpsRecord) -> f64,
+    ) -> bool {
+        let start = out.len();
+        if self.encode_fixed(out, residuals, fixes, &value).is_some() {
+            return true;
         }
-    } else {
-        for w in q.windows(2) {
-            residuals.push(zigzag(w[1].wrapping_sub(w[0])));
+        out.truncate(start);
+        for f in fixes {
+            out.extend_from_slice(&value(f).to_le_bytes());
+        }
+        false
+    }
+
+    #[inline]
+    fn encode_fixed(
+        &self,
+        out: &mut Vec<u8>,
+        residuals: &mut Vec<u64>,
+        fixes: &[GpsRecord],
+        value: impl Fn(&GpsRecord) -> f64,
+    ) -> Option<()> {
+        let first = self.to_fixed(value(&fixes[0]))?;
+        write_varint(out, zigzag(first));
+        if fixes.len() == 1 {
+            return Some(());
+        }
+        residuals.clear();
+        if self.dod {
+            let mut prev = self.to_fixed(value(&fixes[1]))?;
+            let mut prev_delta = prev.wrapping_sub(first);
+            write_varint(out, zigzag(prev_delta));
+            for f in &fixes[2..] {
+                let q = self.to_fixed(value(f))?;
+                let delta = q.wrapping_sub(prev);
+                residuals.push(zigzag(delta.wrapping_sub(prev_delta)));
+                prev = q;
+                prev_delta = delta;
+            }
+        } else {
+            let mut prev = first;
+            for f in &fixes[1..] {
+                let q = self.to_fixed(value(f))?;
+                residuals.push(zigzag(q.wrapping_sub(prev)));
+                prev = q;
+            }
+        }
+        pfor_encode(residuals, out);
+        Some(())
+    }
+
+    fn decode(&self, src: &mut impl Read, count: usize, raw: bool) -> io::Result<Vec<f64>> {
+        if raw {
+            let mut out = Vec::with_capacity(count);
+            let mut b = [0u8; 8];
+            for _ in 0..count {
+                src.read_exact(&mut b)?;
+                out.push(f64::from_le_bytes(b));
+            }
+            Ok(out)
+        } else {
+            let q = decode_fixed_series(src, count, self.dod)?;
+            Ok(q.into_iter().map(|v| v as f64 / self.scale).collect())
         }
     }
-    out.extend_from_slice(&pfor_encode(&residuals));
-    out
 }
 
 fn decode_fixed_series(src: &mut impl Read, count: usize, dod: bool) -> io::Result<Vec<i64>> {
@@ -261,10 +311,8 @@ fn decode_fixed_series(src: &mut impl Read, count: usize, dod: bool) -> io::Resu
     if dod {
         prev_delta = unzigzag(read_varint(src)?);
         out.push(first.wrapping_add(prev_delta));
+        // two fixes still carry an (empty) residual stream
         n_residuals = count - 2;
-        if count == 2 {
-            return Ok(out);
-        }
     } else {
         n_residuals = count - 1;
     }
@@ -281,35 +329,6 @@ fn decode_fixed_series(src: &mut impl Read, count: usize, dod: bool) -> io::Resu
         out.push(next);
     }
     Ok(out)
-}
-
-fn raw_f64(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn decode_column(
-    src: &mut impl Read,
-    count: usize,
-    raw: bool,
-    scale: f64,
-    dod: bool,
-) -> io::Result<Vec<f64>> {
-    if raw {
-        let mut out = Vec::with_capacity(count);
-        let mut b = [0u8; 8];
-        for _ in 0..count {
-            src.read_exact(&mut b)?;
-            out.push(f64::from_le_bytes(b));
-        }
-        Ok(out)
-    } else {
-        let q = decode_fixed_series(src, count, dod)?;
-        Ok(q.into_iter().map(|v| v as f64 / scale).collect())
-    }
 }
 
 /// Per-trajectory compressed fix storage with running compression stats.
@@ -492,5 +511,306 @@ mod tests {
         assert_eq!(back.len(), 600);
         assert_eq!(store.fix_count(), 610);
         assert!(store.compressed_bytes() < store.raw_bytes() / 4);
+    }
+
+    /// xorshift64: the block generator below needs more shapes than the
+    /// proptest stand-in's strategies offer, so it draws from one seed.
+    struct Xs(u64);
+
+    impl Xs {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One timestamp column: metronomic 1 Hz, millisecond-exact steps,
+    /// fractional (the raw-time escape), near and past `MAX_FIXED_TIME`,
+    /// or a leading `-0.0`.
+    fn times(n: usize, shape: u8, rng: &mut Xs) -> Vec<f64> {
+        let t0 = (rng.next() % 1_000_000_000) as f64;
+        match shape {
+            0 => (0..n).map(|i| t0 + i as f64).collect(),
+            1 => {
+                let mut ms = rng.next() % 4_000_000_000_000;
+                (0..n)
+                    .map(|_| {
+                        ms += rng.next() % 5_000;
+                        ms as f64 / 1_000.0
+                    })
+                    .collect()
+            }
+            2 => {
+                let period = 1.0 + rng.unit() * 1e-7;
+                (0..n).map(|i| t0 + i as f64 * period).collect()
+            }
+            3 => {
+                let mut ts: Vec<f64> = (0..n).map(|i| MAX_FIXED_TIME - (n - i) as f64).collect();
+                match rng.below(3) {
+                    0 => *ts.last_mut().expect("n ≥ 1") = MAX_FIXED_TIME,
+                    1 => *ts.last_mut().expect("n ≥ 1") = MAX_FIXED_TIME + 1.0,
+                    _ => {}
+                }
+                ts
+            }
+            _ => {
+                let mut ts: Vec<f64> = (0..n).map(|i| i as f64).collect();
+                ts[0] = -0.0;
+                ts
+            }
+        }
+    }
+
+    /// One coordinate column: a smooth walk, exact ±0.5 cm ties (odd
+    /// multiples of 1/8 m), or a walk with NaN, ±inf, values at and past
+    /// `MAX_FIXED_COORD`, or `-0.0` dropped in at a random fix.
+    fn coords(n: usize, shape: u8, rng: &mut Xs) -> Vec<f64> {
+        let mut x = (rng.unit() - 0.5) * 2e6;
+        let mut xs: Vec<f64> = (0..n)
+            .map(|_| {
+                x += (rng.unit() - 0.5) * 20.0;
+                x
+            })
+            .collect();
+        let at = rng.below(n);
+        match shape {
+            0 => {}
+            1 => {
+                for v in &mut xs {
+                    let odd = 2 * (rng.next() % 8_000_000) as i64 + 1 - 8_000_000;
+                    *v = odd as f64 / 8.0;
+                }
+            }
+            2 => xs[at] = f64::NAN,
+            3 => {
+                xs[at] = if rng.below(2) == 0 {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                }
+            }
+            4 => {
+                xs[at] = match rng.below(4) {
+                    0 => MAX_FIXED_COORD,
+                    1 => -MAX_FIXED_COORD,
+                    2 => MAX_FIXED_COORD * (1.0 + f64::EPSILON),
+                    _ => -1e13,
+                }
+            }
+            _ => {
+                for v in &mut xs {
+                    *v = match rng.below(4) {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => 0.005,
+                        _ => -0.005,
+                    };
+                }
+            }
+        }
+        xs
+    }
+
+    fn block_case() -> impl proptest::prelude::Strategy<Value = Vec<GpsRecord>> {
+        use proptest::prelude::*;
+        (
+            prop_oneof![
+                Just(1usize),
+                Just(2usize),
+                Just(BLOCK_LEN),
+                1usize..BLOCK_LEN + 1
+            ],
+            0u8..5,
+            0u8..6,
+            0u8..6,
+            1u64..u64::MAX,
+        )
+            .prop_map(|(n, t_shape, x_shape, y_shape, seed)| {
+                let mut rng = Xs(seed);
+                let ts = times(n, t_shape, &mut rng);
+                let xs = coords(n, x_shape, &mut rng);
+                let ys = coords(n, y_shape, &mut rng);
+                (0..n).map(|i| rec(ts[i], xs[i], ys[i])).collect()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn encode_matches_the_two_pass_oracle(fixes in block_case()) {
+            let block = FixBlock::encode(&fixes);
+            proptest::prop_assert_eq!(&block.bytes, &oracle::encode(&fixes));
+        }
+    }
+
+    #[test]
+    fn two_fix_blocks_roundtrip() {
+        // a 2-fix fixed-point time column ends with an empty residual
+        // stream that the decoder must consume before the x column
+        let fixes = [rec(100.0, 1.0, 2.0), rec(101.0, 3.5, -4.25)];
+        let block = FixBlock::encode(&fixes);
+        let parsed = FixBlock::from_bytes(block.bytes.clone()).unwrap();
+        let mut out = Vec::new();
+        parsed.decode(&mut out).unwrap();
+        assert_eq!(out, fixes);
+    }
+}
+
+/// The block encoder before the single-pass rewrite — quantize each whole
+/// column, encode it into its own buffer, pick the PFOR width by rescanning
+/// the histogram per candidate width, concatenate — kept as the byte oracle
+/// for [`FixBlock::encode`].
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::column::{bit_width, BitWriter};
+
+    fn quantize(values: &[f64], scale: f64, max_abs: f64) -> Option<Vec<i64>> {
+        let mut out = Vec::with_capacity(values.len());
+        for &v in values {
+            if !v.is_finite() || v.abs() > max_abs {
+                return None;
+            }
+            out.push((v * scale).round() as i64);
+        }
+        Some(out)
+    }
+
+    fn quantize_exact(values: &[f64], scale: f64, max_abs: f64) -> Option<Vec<i64>> {
+        let q = quantize(values, scale, max_abs)?;
+        for (&v, &qi) in values.iter().zip(&q) {
+            if (qi as f64 / scale).to_bits() != v.to_bits() {
+                return None;
+            }
+        }
+        Some(q)
+    }
+
+    fn pfor_encode(values: &[u64]) -> Vec<u8> {
+        let mut hist = [0usize; 65];
+        for &v in values {
+            hist[bit_width(v) as usize] += 1;
+        }
+        let mut best_w = 0u32;
+        let mut best_cost = u64::MAX;
+        for w in 0..=57u32 {
+            let mut cost = values.len() as u64 * u64::from(w);
+            let mut exceptions = 0u64;
+            for (width, &count) in hist.iter().enumerate() {
+                if width as u32 > w {
+                    exceptions += count as u64;
+                }
+            }
+            cost += exceptions * 8 * 4;
+            if cost < best_cost {
+                best_cost = cost;
+                best_w = w;
+            }
+            if exceptions == 0 {
+                break;
+            }
+        }
+        let mut packed = Vec::new();
+        let mut writer = BitWriter::new(&mut packed);
+        let mut exceptions: Vec<(usize, u64)> = Vec::new();
+        for (i, &v) in values.iter().enumerate() {
+            if bit_width(v) > best_w {
+                exceptions.push((i, v));
+                writer.put(0, best_w);
+            } else {
+                writer.put(v, best_w);
+            }
+        }
+        writer.finish();
+        let mut out = Vec::with_capacity(packed.len() + 8);
+        out.push(best_w as u8);
+        write_varint(&mut out, exceptions.len() as u64);
+        write_varint(&mut out, packed.len() as u64);
+        out.extend_from_slice(&packed);
+        for (i, v) in exceptions {
+            write_varint(&mut out, i as u64);
+            write_varint(&mut out, v);
+        }
+        out
+    }
+
+    fn encode_fixed_series(q: &[i64], dod: bool) -> Vec<u8> {
+        let mut out = Vec::with_capacity(q.len() * 2 + 16);
+        write_varint(&mut out, zigzag(q[0]));
+        if q.len() == 1 {
+            return out;
+        }
+        let mut residuals = Vec::with_capacity(q.len() - 1);
+        if dod {
+            let first_delta = q[1].wrapping_sub(q[0]);
+            write_varint(&mut out, zigzag(first_delta));
+            let mut prev_delta = first_delta;
+            for w in q.windows(2).skip(1) {
+                let delta = w[1].wrapping_sub(w[0]);
+                residuals.push(zigzag(delta.wrapping_sub(prev_delta)));
+                prev_delta = delta;
+            }
+        } else {
+            for w in q.windows(2) {
+                residuals.push(zigzag(w[1].wrapping_sub(w[0])));
+            }
+        }
+        out.extend_from_slice(&pfor_encode(&residuals));
+        out
+    }
+
+    fn raw_f64(values: &[f64]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(values.len() * 8);
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    /// The serialized block [`FixBlock::encode`] must produce for `fixes`.
+    pub fn encode(fixes: &[GpsRecord]) -> Vec<u8> {
+        let mut flags = 0u8;
+        let ts: Vec<f64> = fixes.iter().map(|f| f.t.0).collect();
+        let time_payload = match quantize_exact(&ts, 1_000.0, MAX_FIXED_TIME) {
+            Some(ms) => encode_fixed_series(&ms, true),
+            None => {
+                flags |= FLAG_TIME_RAW;
+                raw_f64(&ts)
+            }
+        };
+        let xs: Vec<f64> = fixes.iter().map(|f| f.point.x).collect();
+        let ys: Vec<f64> = fixes.iter().map(|f| f.point.y).collect();
+        let x_payload = match quantize(&xs, 100.0, MAX_FIXED_COORD) {
+            Some(cm) => encode_fixed_series(&cm, false),
+            None => {
+                flags |= FLAG_X_RAW;
+                raw_f64(&xs)
+            }
+        };
+        let y_payload = match quantize(&ys, 100.0, MAX_FIXED_COORD) {
+            Some(cm) => encode_fixed_series(&cm, false),
+            None => {
+                flags |= FLAG_Y_RAW;
+                raw_f64(&ys)
+            }
+        };
+        let mut out = Vec::new();
+        out.extend_from_slice(&(fixes.len() as u16).to_le_bytes());
+        out.push(flags);
+        out.extend_from_slice(&time_payload);
+        out.extend_from_slice(&x_payload);
+        out.extend_from_slice(&y_payload);
+        out
     }
 }

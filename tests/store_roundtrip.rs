@@ -187,3 +187,236 @@ fn corrupt_durable_log_is_rejected_on_replay() {
     assert_eq!((n_traj, n_sst), (1, 1));
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A few annotated phone days — stops at POIs, landuse dwells, mode legs —
+/// and the dataset whose road network they were matched on.
+fn annotated_days() -> (Dataset, Vec<PipelineOutput>) {
+    let dataset = smartphone_users(3, 1, 9);
+    let semitri = SeMiTri::new(&dataset.city, PipelineConfig::default());
+    let outputs = dataset
+        .tracks
+        .iter()
+        .map(|t| semitri.annotate(&t.to_raw()))
+        .collect();
+    (dataset, outputs)
+}
+
+/// `out` under another trajectory id, with `records` as its fixes.
+fn renumbered(out: &PipelineOutput, trajectory_id: u64, records: Vec<GpsRecord>) -> PipelineOutput {
+    let mut sst = out.sst.clone();
+    sst.trajectory_id = trajectory_id;
+    PipelineOutput {
+        cleaned: RawTrajectory::new(out.cleaned.object_id, trajectory_id, records),
+        episodes: out.episodes.clone(),
+        region_tuples: out.region_tuples.clone(),
+        move_routes: out.move_routes.clone(),
+        stop_annotations: out.stop_annotations.clone(),
+        sst,
+        latency: out.latency,
+        cleaning: out.cleaning,
+    }
+}
+
+/// `count` outputs with ids `0..count`, cycling over `outputs`.
+fn fleet(outputs: &[PipelineOutput], count: u64) -> Vec<PipelineOutput> {
+    (0..count)
+        .map(|id| {
+            let out = &outputs[id as usize % outputs.len()];
+            renumbered(out, id, out.cleaned.records().to_vec())
+        })
+        .collect()
+}
+
+/// The three OLAP totals the warehouse dashboards read.
+fn olap_totals(store: &SemanticTrajectoryStore) -> (u64, u64, u64) {
+    (
+        store.stops_per_landuse_hour().total(),
+        store.mode_share_by_road_class().total(),
+        store
+            .top_poi_visits(usize::MAX)
+            .iter()
+            .map(|v| v.visits)
+            .sum(),
+    )
+}
+
+#[test]
+fn put_annotated_logs_the_bytes_of_the_four_single_record_calls() {
+    use semitri::store::derive_tuple_layers;
+
+    let (dataset, outputs) = annotated_days();
+    let roads = &dataset.city.roads;
+    let mut batch = fleet(&outputs, outputs.len() as u64);
+    // a trajectory with no fixes writes no fix record either way
+    batch.push(renumbered(&outputs[0], 99, Vec::new()));
+    let batched = temp_path("identity-batched.stlog");
+    let split = temp_path("identity-split.stlog");
+    let _ = std::fs::remove_file(&batched);
+    let _ = std::fs::remove_file(&split);
+    {
+        let one = SemanticTrajectoryStore::open_durable(&batched).unwrap();
+        let four = SemanticTrajectoryStore::open_durable(&split).unwrap();
+        for out in &batch {
+            one.put_annotated(out, roads).unwrap();
+            let id = out.cleaned.trajectory_id;
+            four.put_trajectory(TrajectoryMeta {
+                trajectory_id: id,
+                object_id: out.cleaned.object_id,
+                record_count: out.cleaned.len() as u64,
+            })
+            .unwrap();
+            four.put_fixes(id, out.cleaned.records()).unwrap();
+            four.put_episodes(id, &out.episodes).unwrap();
+            four.put_sst_with_layers(&out.sst, &derive_tuple_layers(out, roads))
+                .unwrap();
+        }
+    }
+    let bytes = std::fs::read(&batched).unwrap();
+    assert!(
+        bytes == std::fs::read(&split).unwrap(),
+        "put_annotated wrote a different log"
+    );
+
+    let one = SemanticTrajectoryStore::open_durable(&batched).unwrap();
+    let four = SemanticTrajectoryStore::open_durable(&split).unwrap();
+    assert_eq!(one.metrics(), four.metrics());
+    assert_eq!(one.counts().0, batch.len());
+    for out in &batch {
+        let id = out.cleaned.trajectory_id;
+        assert_eq!(one.get_sst(id), four.get_sst(id));
+        assert_eq!(one.get_sst(id).as_ref(), Some(&out.sst));
+        assert_eq!(one.get_fixes(id).unwrap(), four.get_fixes(id).unwrap());
+    }
+    assert!(one.get_fixes(99).unwrap().is_empty());
+    assert_eq!(olap_totals(&one), olap_totals(&four));
+    std::fs::remove_file(&batched).unwrap();
+    std::fs::remove_file(&split).unwrap();
+}
+
+#[test]
+fn compaction_racing_ingest_loses_no_trajectory() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let (dataset, outputs) = annotated_days();
+    let batch = fleet(&outputs, 300);
+    let path = temp_path("compaction-race.stlog");
+    let _ = std::fs::remove_file(&path);
+    let store = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    let ingesting = AtomicBool::new(true);
+    let started = Barrier::new(2);
+    let compactions = std::thread::scope(|s| {
+        let compactor = s.spawn(|| {
+            let mut n = 0u32;
+            loop {
+                store.compact().unwrap();
+                n += 1;
+                if n == 1 {
+                    started.wait();
+                }
+                if !ingesting.load(Ordering::Acquire) {
+                    return n;
+                }
+            }
+        });
+        // the first put waits for a compaction to have run, so the two
+        // overlap from the start
+        started.wait();
+        for out in &batch {
+            store.put_annotated(out, &dataset.city.roads).unwrap();
+        }
+        ingesting.store(false, Ordering::Release);
+        compactor.join().unwrap()
+    });
+    assert!(compactions > 1);
+    drop(store);
+
+    let reopened = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    let lost: Vec<u64> = batch
+        .iter()
+        .map(|o| o.cleaned.trajectory_id)
+        .filter(|&id| reopened.get_trajectory(id).is_none())
+        .collect();
+    assert!(lost.is_empty(), "acknowledged, then lost: {lost:?}");
+    for out in &batch {
+        assert_eq!(
+            reopened.get_sst(out.sst.trajectory_id).as_ref(),
+            Some(&out.sst)
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn readers_never_see_metadata_without_its_sst() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
+
+    let (dataset, outputs) = annotated_days();
+    let batch = fleet(&outputs, 60);
+    let path = temp_path("reader-during-ingest.stlog");
+    let _ = std::fs::remove_file(&path);
+    let store = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    let writing = AtomicU64::new(0);
+    let ingesting = AtomicBool::new(true);
+    let started = Barrier::new(2);
+    let polls = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            started.wait();
+            let mut polls = 0u64;
+            while ingesting.load(Ordering::Acquire) {
+                // the trajectory being written right now
+                let id = writing.load(Ordering::Acquire);
+                if store.get_trajectory(id).is_some() {
+                    assert!(
+                        store.get_sst(id).is_some(),
+                        "trajectory {id} visible without its SST"
+                    );
+                }
+                polls += 1;
+            }
+            polls
+        });
+        started.wait();
+        for out in &batch {
+            writing.store(out.cleaned.trajectory_id, Ordering::Release);
+            store.put_annotated(out, &dataset.city.roads).unwrap();
+        }
+        ingesting.store(false, Ordering::Release);
+        reader.join().unwrap()
+    });
+    assert!(polls > 0);
+    drop(store);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn durable_ingest_syncs_once_per_trajectory() {
+    let (dataset, outputs) = annotated_days();
+    let batch = fleet(&outputs, 5);
+    let path = temp_path("syncs.stlog");
+    let _ = std::fs::remove_file(&path);
+    let store = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    // the new log's header and its directory entry
+    assert_eq!(store.metrics().syncs, 2);
+    for (k, out) in batch.iter().enumerate() {
+        store.put_annotated(out, &dataset.city.roads).unwrap();
+        assert_eq!(store.metrics().syncs, 2 + k as u64 + 1);
+    }
+    // the rewritten temp file and the rename
+    store.compact().unwrap();
+    assert_eq!(store.metrics().syncs, 2 + batch.len() as u64 + 2);
+    drop(store);
+    // reopening an existing log syncs nothing
+    let reopened = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    assert_eq!(reopened.metrics().syncs, 0);
+    std::fs::remove_file(&path).unwrap();
+
+    let in_memory = SemanticTrajectoryStore::in_memory();
+    for out in &batch {
+        in_memory.put_annotated(out, &dataset.city.roads).unwrap();
+    }
+    in_memory.compact().unwrap();
+    assert_eq!(in_memory.metrics().syncs, 0);
+}
