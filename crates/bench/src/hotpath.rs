@@ -8,11 +8,9 @@
 //! machine and inputs, so the reported speedup is a true before/after
 //! number for this codebase.
 //!
-//! The spatial-index and end-to-end kernels are benchmarked as
-//! frozen-vs-dynamic *pairs* on identical probes: the [`FrozenRStarTree`]
-//! snapshot against the pointer-chasing [`RStarTree`] it was built from,
-//! and the frozen-index pipeline (the default) against a
-//! [`IndexMode::Dynamic`] pipeline on the same fleet.
+//! The spatial-index kernels are benchmarked as frozen-vs-dynamic *pairs*
+//! on identical probes: the [`FrozenRStarTree`] snapshot against the
+//! pointer-chasing [`RStarTree`] it was built from.
 //!
 //! With `--bench-json PATH` the results are written as a machine-readable
 //! JSON document (`BENCH_annotation.json` is the tracked baseline at the
@@ -25,7 +23,7 @@
 use crate::util::{header, Table};
 use crate::Scale;
 use semitri::core::point::PointParams;
-use semitri::geo::{weight_lanes, KernelMode, Segment, SegmentLanes};
+use semitri::geo::{Segment, SegmentLanes};
 use semitri::index::RStarTree;
 use semitri::prelude::*;
 use std::hint::black_box;
@@ -290,7 +288,7 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
     // is purely slab-lookup vs tree-walk. The frozen leg re-runs here
     // (interleaved with the oracle leg) rather than borrowing the earlier
     // pair's timing, keeping the ratio immune to drift between blocks.
-    let seg_oracle = CellOracle::build(&frozen_seg_tree, 60.0, 60.0, DEFAULT_ORACLE_MARGIN_M);
+    let seg_oracle = CellOracle::build(&frozen_seg_tree, 60.0, 60.0);
     let arena = OracleArena {
         cells: seg_oracle.cell_count(),
         slots: seg_oracle.slot_count(),
@@ -302,7 +300,7 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
         let (mut via_oracle, mut via_tree) = (0usize, 0usize);
         for &p in &dense_probes {
             let window = Rect::from_point(p).inflate(60.0);
-            let (rects, items) = seg_oracle.candidates(p).expect("probes are in bounds");
+            let (rects, items) = seg_oracle.candidates(p).expect("probes are finite");
             for (r, &id) in rects.iter().zip(items) {
                 if r.intersects(&window) {
                     via_oracle += id as usize & 1;
@@ -503,56 +501,6 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
     results.push(dist_batch);
     results.push(dist_scalar);
 
-    // --- Eq. 4 weight rows: chunked lane kernel vs the libm exp loop ---
-    // Neighbor distances sweep the kernel's real operating range [0, R];
-    // the lane leg runs KernelMode::Fast (the vectorizable polynomial with
-    // the documented EXP_FAST_REL_TOL bound), the scalar leg is the naive
-    // per-pair `(-d²·inv2σ²).exp()` the matcher used to emit. The Exact
-    // lane mode is reported unpaired — it calls the same libm exp per
-    // element, so its value is the bit-identity, not throughput.
-    let weight_d: Vec<f64> = (0..4096).map(|i| 30.0 * (i as f64 / 4095.0)).collect();
-    let mut w_out = vec![0.0f64; weight_d.len()];
-    let mut w_out_scalar = vec![0.0f64; weight_d.len()];
-    let inv_two_sigma_sq = {
-        let sigma = 0.5 * 30.0;
-        1.0 / (2.0 * sigma * sigma)
-    };
-    // Enough passes that one sample runs ~1 ms: a 4096-element row is only
-    // ~15 µs of work, and scheduler jitter on that scale dominated the
-    // pair ratio.
-    const WEIGHT_PASSES: usize = 64;
-    let (w_rows, w_scalar) = bench_pair(
-        "kernel_weight_rows",
-        "kernel_weight_scalar",
-        "weight",
-        samples,
-        || {
-            for _ in 0..WEIGHT_PASSES {
-                weight_lanes(&weight_d, inv_two_sigma_sq, KernelMode::Fast, &mut w_out);
-                black_box(&w_out);
-            }
-            WEIGHT_PASSES * weight_d.len()
-        },
-        || {
-            for _ in 0..WEIGHT_PASSES {
-                for (o, &d) in w_out_scalar.iter_mut().zip(&weight_d) {
-                    *o = (-d * d * inv_two_sigma_sq).exp();
-                }
-                black_box(&w_out_scalar);
-            }
-            WEIGHT_PASSES * weight_d.len()
-        },
-    );
-    results.push(w_rows);
-    results.push(w_scalar);
-    results.push(bench("kernel_weight_rows_exact", "weight", samples, || {
-        for _ in 0..WEIGHT_PASSES {
-            weight_lanes(&weight_d, inv_two_sigma_sq, KernelMode::Exact, &mut w_out);
-            black_box(&w_out);
-        }
-        WEIGHT_PASSES * weight_d.len()
-    }));
-
     let probes: Vec<Point> = raws
         .iter()
         .flat_map(|r| r.records())
@@ -583,38 +531,15 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
         }));
     }
 
-    // --- end to end: frozen-index pipeline (the default) vs dynamic ---
-    let semitri_dynamic = SeMiTri::new(
-        city,
-        PipelineConfig {
-            index_mode: IndexMode::Dynamic,
-            ..PipelineConfig::default()
-        },
-    );
-    let (frz_e2e, dyn_e2e) = bench_pair(
-        "pipeline_annotate",
-        "pipeline_annotate_dynamic",
-        "record",
-        samples,
-        || {
-            let mut n = 0;
-            for raw in &raws {
-                n += raw.len();
-                black_box(semitri.annotate(raw));
-            }
-            n
-        },
-        || {
-            let mut n = 0;
-            for raw in &raws {
-                n += raw.len();
-                black_box(semitri_dynamic.annotate(raw));
-            }
-            n
-        },
-    );
-    results.push(frz_e2e);
-    results.push(dyn_e2e);
+    // --- end to end: the default pipeline over the whole fleet ---
+    results.push(bench("pipeline_annotate", "record", samples, || {
+        let mut n = 0;
+        for raw in &raws {
+            n += raw.len();
+            black_box(semitri.annotate(raw));
+        }
+        n
+    }));
 
     // --- raster burn: per-thread tile accumulators vs one serial grid ---
     // The city-scale aggregation workload: the annotated fleet burned into
@@ -679,12 +604,10 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
         match_vs_naive: ns_of("match_records_naive") / ns_of("match_records_opt"),
         frozen_range_vs_dynamic: ns_of("rtree_range") / ns_of("frozen_rtree_range"),
         frozen_knn_vs_dynamic: ns_of("rtree_knn") / ns_of("frozen_rtree_knn"),
-        frozen_pipeline_vs_dynamic: ns_of("pipeline_annotate_dynamic") / ns_of("pipeline_annotate"),
         oracle_vs_frozen_range: ns_of("frozen_rtree_range_ref") / ns_of("oracle_candidates"),
         frozen_range_lanes_vs_scalar: ns_of("frozen_range_scalar") / ns_of("frozen_range_lanes"),
         segment_distance_batch_vs_scalar: ns_of("segment_distance_scalar")
             / ns_of("segment_distance_batch"),
-        kernel_weight_rows_vs_scalar: ns_of("kernel_weight_scalar") / ns_of("kernel_weight_rows"),
         raster_burn_vs_serial: ns_of("raster_burn_serial") / ns_of("raster_burn"),
     };
     let e2e_records_per_sec = 1e9 / ns_of("pipeline_annotate");
@@ -692,8 +615,7 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
     // regression marker: no paired kernel may run >10% slower than its
     // reference on the same inputs (NaN — a missing kernel — also trips
     // it): the optimized matcher vs the paper-literal reference, and each
-    // frozen kernel (range, kNN, end-to-end pipeline) vs its dynamic
-    // baseline
+    // frozen kernel (range, kNN) vs its dynamic baseline
     let regression = speedups.any_regressed();
 
     let mut t = Table::new(&["kernel", "median", "unit", "samples", "units/sample"]);
@@ -720,10 +642,6 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
         speedups.frozen_knn_vs_dynamic
     );
     println!(
-        "  frozen pipeline speedup vs dynamic indexes: {:.2}x",
-        speedups.frozen_pipeline_vs_dynamic
-    );
-    println!(
         "  oracle candidate slab speedup vs frozen rtree_range: {:.2}x",
         speedups.oracle_vs_frozen_range
     );
@@ -734,10 +652,6 @@ pub fn run(scale: Scale, opts: &HotpathOptions) -> bool {
     println!(
         "  segment_distance_batch speedup vs scalar segments: {:.2}x",
         speedups.segment_distance_batch_vs_scalar
-    );
-    println!(
-        "  kernel_weight_rows speedup vs scalar exp loop: {:.2}x",
-        speedups.kernel_weight_rows_vs_scalar
     );
     println!(
         "  raster_burn dispatch speedup vs forced-serial grid: {:.2}x ({burn_threads} worker(s) of {burn_requested} offered, {:.0} fixes/s)",
@@ -883,8 +797,6 @@ struct Speedups {
     frozen_range_vs_dynamic: f64,
     /// Frozen snapshot kNN vs the dynamic R\*-tree.
     frozen_knn_vs_dynamic: f64,
-    /// Frozen-index pipeline (the default) vs a dynamic-index pipeline.
-    frozen_pipeline_vs_dynamic: f64,
     /// Precomputed per-cell candidate slab vs the frozen tree walk it
     /// replaces, measured interleaved on identical probes and windows.
     oracle_vs_frozen_range: f64,
@@ -893,9 +805,6 @@ struct Speedups {
     frozen_range_lanes_vs_scalar: f64,
     /// Batched SoA point-segment distance slab vs per-segment scalar calls.
     segment_distance_batch_vs_scalar: f64,
-    /// Chunked Eq. 4 weight lanes (`KernelMode::Fast`) vs the naive libm
-    /// exp loop.
-    kernel_weight_rows_vs_scalar: f64,
     /// Tiled multi-worker raster burn vs one serial grid over the same
     /// corpus (both legs produce bit-identical grids).
     raster_burn_vs_serial: f64,
@@ -918,11 +827,9 @@ impl Speedups {
             self.match_vs_naive,
             self.frozen_range_vs_dynamic,
             self.frozen_knn_vs_dynamic,
-            self.frozen_pipeline_vs_dynamic,
             self.oracle_vs_frozen_range,
             self.frozen_range_lanes_vs_scalar,
             self.segment_distance_batch_vs_scalar,
-            self.kernel_weight_rows_vs_scalar,
             self.raster_burn_vs_serial,
         ]
         .iter()
@@ -977,10 +884,6 @@ fn render_json(
         speedups.frozen_knn_vs_dynamic
     ));
     out.push_str(&format!(
-        "  \"frozen_pipeline_speedup_vs_dynamic\": {:.2},\n",
-        speedups.frozen_pipeline_vs_dynamic
-    ));
-    out.push_str(&format!(
         "  \"oracle_candidates_speedup_vs_frozen_range\": {:.2},\n",
         speedups.oracle_vs_frozen_range
     ));
@@ -991,10 +894,6 @@ fn render_json(
     out.push_str(&format!(
         "  \"segment_distance_batch_speedup_vs_scalar\": {:.2},\n",
         speedups.segment_distance_batch_vs_scalar
-    ));
-    out.push_str(&format!(
-        "  \"kernel_weight_rows_speedup_vs_scalar\": {:.2},\n",
-        speedups.kernel_weight_rows_vs_scalar
     ));
     out.push_str(&format!(
         "  \"raster_burn_speedup_vs_serial\": {:.2},\n",
@@ -1068,11 +967,9 @@ mod tests {
             match_vs_naive: 2.5,
             frozen_range_vs_dynamic: 1.4,
             frozen_knn_vs_dynamic: 1.1,
-            frozen_pipeline_vs_dynamic: 1.0,
             oracle_vs_frozen_range: 3.2,
             frozen_range_lanes_vs_scalar: 1.6,
             segment_distance_batch_vs_scalar: 2.1,
-            kernel_weight_rows_vs_scalar: 3.5,
             raster_burn_vs_serial: 1.9,
         };
         let arena = OracleArena {
@@ -1101,11 +998,9 @@ mod tests {
         assert!(s.contains("\"match_records_speedup_vs_naive\": 2.50"));
         assert!(s.contains("\"frozen_rtree_range_speedup_vs_dynamic\": 1.40"));
         assert!(s.contains("\"frozen_rtree_knn_speedup_vs_dynamic\": 1.10"));
-        assert!(s.contains("\"frozen_pipeline_speedup_vs_dynamic\": 1.00"));
         assert!(s.contains("\"oracle_candidates_speedup_vs_frozen_range\": 3.20"));
         assert!(s.contains("\"frozen_range_lanes_speedup_vs_scalar\": 1.60"));
         assert!(s.contains("\"segment_distance_batch_speedup_vs_scalar\": 2.10"));
-        assert!(s.contains("\"kernel_weight_rows_speedup_vs_scalar\": 3.50"));
         assert!(s.contains("\"raster_burn_speedup_vs_serial\": 1.90"));
         assert!(s.contains("\"raster_burn_fixes_per_sec\": 1234567"));
         assert!(s.contains("\"raster_burn_threads\": 4"));
@@ -1131,11 +1026,9 @@ mod tests {
             match_vs_naive: 2.5,
             frozen_range_vs_dynamic: 1.4,
             frozen_knn_vs_dynamic: 1.1,
-            frozen_pipeline_vs_dynamic: 0.95,
             oracle_vs_frozen_range: 3.0,
             frozen_range_lanes_vs_scalar: 1.6,
             segment_distance_batch_vs_scalar: 2.1,
-            kernel_weight_rows_vs_scalar: 3.5,
             raster_burn_vs_serial: 1.9,
         };
         assert!(!ok.any_regressed());

@@ -225,10 +225,10 @@ impl BatchOutput {
 /// A worker pool annotating batches of trajectories over one shared
 /// [`SeMiTri`].
 ///
-/// The shared pipeline's spatial indexes are frozen flat snapshots by
-/// default ([`crate::IndexMode::Frozen`]): built once before the pool
-/// starts, then read concurrently by every worker through `&self` queries
-/// with no locks and no per-worker copies.
+/// The shared pipeline's spatial indexes are frozen flat snapshots with
+/// their precomputed cell oracles: built once before the pool starts, then
+/// read concurrently by every worker through `&self` queries with no locks
+/// and no per-worker copies.
 ///
 /// ```no_run
 /// # use semitri_core::{BatchAnnotator, SeMiTri, PipelineConfig};

@@ -48,6 +48,8 @@ pub mod point;
 pub mod preprocess;
 pub mod region;
 pub mod streaming;
+#[cfg(test)]
+mod test_probes;
 
 pub use batch::{
     BatchAnnotator, BatchOutput, BatchSummary, PipelineError, PipelineErrorKind, StageSummary,
@@ -63,10 +65,7 @@ pub use pipeline::{LatencyProfile, PipelineConfig, PipelineOutput, SeMiTri};
 pub use point::PointAnnotator;
 pub use preprocess::Preprocessor;
 pub use region::{RegionAnnotator, RegionTuple};
-pub use semitri_geo::{KernelMode, EXP_FAST_REL_TOL};
-pub use semitri_index::{
-    Generation, GenerationHandle, GenerationId, IndexMode, OracleMode, SnapshotSet,
-};
+pub use semitri_index::{Generation, GenerationHandle, GenerationId};
 pub use semitri_obs::{
     CleaningReport, Counter, Gauge, Histogram, HistogramSnapshot, MetricsObserver, MetricsRegistry,
     MetricsSnapshot, NullObserver, PipelineObserver, Stage, KERNEL_FALLBACK_METRIC,

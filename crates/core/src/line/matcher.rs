@@ -20,10 +20,8 @@
 
 use semitri_data::road::SegmentId;
 use semitri_data::{GpsRecord, RoadNetwork};
-use semitri_geo::{exp_fast, KernelMode, Point, Rect, SegmentLanes, LANES};
-use semitri_index::{
-    CellOracle, FrozenRStarTree, FrozenRangeScratch, IndexMode, OracleMode, RStarTree, SnapshotSet,
-};
+use semitri_geo::{Point, Rect, SegmentLanes, LANES};
+use semitri_index::{CellOracle, FrozenRStarTree, RStarTree};
 use std::sync::Arc;
 
 /// Parameters of the global map-matching algorithm.
@@ -44,14 +42,6 @@ pub struct MatchParams {
     /// Hard cap on neighbors considered on each side of the current point
     /// (guards against degenerate dense clusters).
     pub max_neighbors: usize,
-    /// How the Eq. 4 kernel weights are evaluated.
-    /// [`KernelMode::Exact`] (default) is bit-identical to
-    /// [`GlobalMapMatcher::match_records_naive`]; [`KernelMode::Fast`]
-    /// swaps the libm `exp` for the vectorizable polynomial
-    /// [`semitri_geo::exp_fast`], bounding the per-weight (and therefore
-    /// per-score) deviation by [`semitri_geo::EXP_FAST_REL_TOL`] —
-    /// candidate identity and the radius cut stay exact either way.
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for MatchParams {
@@ -61,7 +51,6 @@ impl Default for MatchParams {
             sigma_factor: 0.5,
             candidate_radius_m: 60.0,
             max_neighbors: 32,
-            kernel_mode: KernelMode::Exact,
         }
     }
 }
@@ -82,21 +71,19 @@ pub struct MatchedPoint {
 /// Holds the flattened per-episode candidate arena, the epoch-stamped dense
 /// segment→slot map used to merge local scores in `O(W · C)`, the symmetric
 /// forward kernel-weight cache that computes each neighbor-pair weight once
-/// instead of twice, and the last-cell candidate cache that lets
-/// consecutive fixes in the same grid cell skip the R\*-tree query
-/// entirely. Create one per worker (or per
-/// trajectory) and thread it through every episode: after the first few
-/// calls the buffers reach steady-state capacity and matching performs no
-/// per-fix heap allocation.
+/// instead of twice, and the last oracle cell's slab range that lets
+/// consecutive fixes in the same grid cell skip even the cell lookup.
+/// Create one per worker (or per trajectory) and thread it through every
+/// episode: after the first few calls the buffers reach steady-state
+/// capacity and matching performs no per-fix heap allocation.
 ///
 /// A scratch may be freely reused across matchers and networks — every
 /// cached structure is either revalidated or rebuilt before it is read.
-/// The cell cache persists across `match_records_with` calls (a long-lived
-/// streaming session keeps paying for it otherwise) but is keyed on the
-/// owning matcher's unique fingerprint: handing the scratch to a matcher
-/// with a different configuration, index backend or network invalidates
-/// the cache instead of replaying a stale candidate list whose radius or
-/// segment set no longer applies.
+/// The oracle hint persists across `match_records_with` calls (a
+/// long-lived streaming session keeps paying for it otherwise) but is
+/// keyed on the owning matcher's unique fingerprint: handing the scratch
+/// to a matcher with a different configuration or network invalidates the
+/// hint instead of replaying a slab range of a foreign arena.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// Flattened candidate segment ids for every record of the episode.
@@ -131,27 +118,17 @@ pub struct MatchScratch {
     /// per-record clear.
     stamp: Vec<u32>,
     epoch: u32,
-    /// Fingerprint of the matcher whose cell cache is loaded (`0` = none:
-    /// matcher fingerprints start at 1).
-    cell_owner: u64,
-    /// Grid cell (side = candidate radius) of the most recent fix.
-    cell: Option<(i64, i64)>,
-    /// Superset of segments within candidate reach of any point in `cell`,
-    /// with their bounding boxes so a per-fix pass can pre-filter with the
-    /// same cheap `bbox ∩ window` test the R\*-tree query would apply.
-    cell_segs: Vec<(Rect, SegmentId)>,
+    /// Fingerprint of the matcher whose arena `oracle_hint` indexes (`0` =
+    /// none: matcher fingerprints start at 1).
+    hint_owner: u64,
     /// Memo of the last oracle lookup: the nominal rectangle of the served
     /// cell plus its CSR slab range in the owning matcher's oracle arena.
     /// A fix inside the rectangle reuses the range without re-locating.
-    /// The range indexes a *specific* arena, so this is covered by the
-    /// same `cell_owner` fingerprint guard as the cell cache: any other
-    /// matcher's hint — a different arena, or one whose oracle was rebuilt
-    /// (a rebuild always mints a new matcher, hence a new fingerprint) —
-    /// is discarded, never replayed.
+    /// The range indexes a *specific* arena, so it is guarded by the
+    /// `hint_owner` fingerprint: any other matcher's hint — a different
+    /// arena, or one whose oracle was rebuilt (a rebuild always mints a new
+    /// matcher, hence a new fingerprint) — is discarded, never replayed.
     oracle_hint: Option<(Rect, u32, u32)>,
-    /// Traversal stack for the frozen segment index (index-based, so the
-    /// scratch stays lifetime-free and embeddable in long-lived state).
-    tree_stack: FrozenRangeScratch,
     /// SoA gather of one fix's window-passing candidate geometries, the
     /// input slab of the batched Eq. 1 lane kernel.
     seg_lanes: SegmentLanes,
@@ -206,13 +183,15 @@ impl MatchScratch {
 /// ```
 pub struct GlobalMapMatcher {
     net: Arc<RoadNetwork>,
-    index: SegmentIndex,
-    /// Precomputed per-cell candidate slabs (the default). `None` when
-    /// [`OracleMode::Disabled`]: every cell-cache refill walks the tree.
-    oracle: Option<CellOracle<SegmentId>>,
+    /// Frozen R\*-tree over the segment bounding boxes: the oracle is
+    /// gathered from it, and the reference paths query it per fix.
+    tree: FrozenRStarTree<SegmentId>,
+    /// Precomputed per-cell candidate slabs: the hot path's only source
+    /// of candidates.
+    oracle: CellOracle<SegmentId>,
     params: MatchParams,
     /// Process-unique id keying scratch caches to this matcher instance
-    /// (configuration + network + index backend + oracle arena), never 0.
+    /// (configuration + network + oracle arena), never 0.
     fingerprint: u64,
 }
 
@@ -220,67 +199,15 @@ pub struct GlobalMapMatcher {
 /// default of 0 can never collide with a real matcher.
 static NEXT_FINGERPRINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
-/// The candidate-selection backend: built once per road network and read
-/// once per cell-cache refill, so the frozen snapshot is the default; the
-/// dynamic tree stays selectable as the identity oracle.
-#[derive(Debug, Clone)]
-enum SegmentIndex {
-    Dynamic(RStarTree<SegmentId>),
-    Frozen(Box<FrozenRStarTree<SegmentId>>),
-}
-
-impl SegmentIndex {
-    /// Visits every segment bbox intersecting `query` — identical results
-    /// in identical order on both backends. The stack is only touched by
-    /// the frozen side (the dynamic tree recurses on the program stack).
-    fn for_each_in_with_stack(
-        &self,
-        stack: &mut FrozenRangeScratch,
-        query: &Rect,
-        f: impl FnMut(&Rect, &SegmentId),
-    ) {
-        match self {
-            SegmentIndex::Dynamic(t) => t.for_each_in(query, f),
-            SegmentIndex::Frozen(t) => t.for_each_in_with(stack, query, f),
-        }
-    }
-}
-
 impl GlobalMapMatcher {
-    /// Builds the matcher over a road network (bulk-loads an R\*-tree over
-    /// the segment bounding boxes and freezes it into the flat snapshot).
+    /// Builds the matcher over a road network: bulk-loads an R\*-tree over
+    /// the segment bounding boxes, freezes it into the flat snapshot and
+    /// materializes the per-cell candidate oracle from it.
     ///
     /// Accepts either an `Arc<RoadNetwork>` (shared with a snapshot
     /// generation, no copy) or `&RoadNetwork` (cloned into a fresh `Arc`
     /// for callers that keep ownership).
     pub fn new(net: impl Into<Arc<RoadNetwork>>, params: MatchParams) -> Self {
-        Self::with_index_mode(net, params, IndexMode::Frozen)
-    }
-
-    /// [`GlobalMapMatcher::new`] with an explicit index backend (keeps the
-    /// default precomputed oracle).
-    pub fn with_index_mode(
-        net: impl Into<Arc<RoadNetwork>>,
-        params: MatchParams,
-        mode: IndexMode,
-    ) -> Self {
-        Self::with_modes(net, params, mode, OracleMode::default())
-    }
-
-    /// [`GlobalMapMatcher::new`] with explicit index and oracle backends.
-    ///
-    /// With [`OracleMode::Precomputed`] the per-cell candidate slabs are
-    /// materialized once here (grid pitch = query radius = the candidate
-    /// radius); under [`IndexMode::Dynamic`] the oracle is built from a
-    /// frozen snapshot of the same tree, whose visit order is bit-identical
-    /// to the dynamic tree's, so the arena is byte-identical across
-    /// backends and the identity contract holds for both.
-    pub fn with_modes(
-        net: impl Into<Arc<RoadNetwork>>,
-        params: MatchParams,
-        mode: IndexMode,
-        oracle_mode: OracleMode,
-    ) -> Self {
         let net = net.into();
         assert!(params.radius_m > 0.0, "radius must be positive");
         assert!(params.sigma_factor > 0.0, "sigma factor must be positive");
@@ -301,49 +228,27 @@ impl GlobalMapMatcher {
             .iter()
             .map(|s| (s.geometry.bbox(), s.id))
             .collect();
-        let tree = RStarTree::bulk_load(items);
+        let tree = RStarTree::bulk_load(items).freeze();
         let r = params.candidate_radius_m;
         // Cells a third of the candidate radius: the per-cell catchment —
         // and with it the slab every fix filters — shrinks from (3r)² to
-        // (r/3 + 2r)² of bounding boxes, roughly halving the per-fix scan.
-        // The lazy cell cache could never afford cells this small (each
-        // cell change walked the tree); precomputed slabs make the refill
-        // free, trading arena memory for it. Candidate identity is
-        // independent of the cell size — the per-fix window/distance
-        // filter does the selecting; cells only bound the superset.
-        let (index, oracle) = match mode {
-            IndexMode::Frozen => {
-                // one generation of the segment read path = one SnapshotSet:
-                // the frozen tree and its oracle arena are built together so
-                // they always describe the same world
-                let (frozen, oracle) =
-                    SnapshotSet::build(&tree, r / 3.0, r, oracle_mode).into_parts();
-                (SegmentIndex::Frozen(frozen), oracle)
-            }
-            IndexMode::Dynamic => {
-                let oracle = match oracle_mode {
-                    OracleMode::Disabled => None,
-                    _ => {
-                        SnapshotSet::build(&tree, r / 3.0, r, oracle_mode)
-                            .into_parts()
-                            .1
-                    }
-                };
-                (SegmentIndex::Dynamic(tree), oracle)
-            }
-        };
+        // (r/3 + 2r)² of bounding boxes, roughly halving the per-fix scan,
+        // at the price of arena memory. Candidate identity is independent
+        // of the cell size — the per-fix window/distance filter does the
+        // selecting; cells only bound the superset.
+        let oracle = CellOracle::build(&tree, r / 3.0, r);
         Self {
             net,
-            index,
+            tree,
             oracle,
             params,
             fingerprint: NEXT_FINGERPRINT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
-    /// The precomputed oracle, when enabled (for memory reporting).
-    pub fn oracle(&self) -> Option<&CellOracle<SegmentId>> {
-        self.oracle.as_ref()
+    /// The precomputed candidate oracle (for memory reporting).
+    pub fn oracle(&self) -> &CellOracle<SegmentId> {
+        &self.oracle
     }
 
     /// The parameters in effect.
@@ -361,102 +266,50 @@ impl GlobalMapMatcher {
     /// Appends the candidates of one fix (with raw Eq. 1 distances, before
     /// the Eq. 2 normalization) to the scratch arena.
     ///
-    /// With the precomputed oracle (the default), the candidate superset is
-    /// an O(1) CSR slab lookup: the fix's grid cell indexes a list gathered
-    /// at build time by one frozen range query over the cell's catchment
-    /// window, preserved in tree visit order. The per-fix pass applies the
-    /// same `bbox ∩ window(p)` prefilter and exact `d ≤ r` test a direct
-    /// tree query would, on a superset list in the same traversal order —
-    /// so the selected candidates and their order are bitwise identical to
-    /// the tree path's. Fixes beyond the oracle's precompute margin (and
-    /// non-finite fixes) fall back to the tree path below.
-    ///
-    /// Without the oracle, candidates come from the cell cache: the scratch
-    /// remembers the grid cell (side = candidate radius) of the previous
-    /// fix together with the superset of segments whose bounding boxes fall
-    /// within candidate reach of *any* point of that cell. Consecutive
-    /// fixes in the same cell — the overwhelmingly common case on a GPS
-    /// track — skip the R\*-tree entirely; the same prefilter argument
-    /// makes the results identical.
+    /// The candidate superset is an O(1) CSR slab lookup: the fix's grid
+    /// cell indexes a list gathered at build time by one frozen range
+    /// query over the cell's catchment window, preserved in tree visit
+    /// order. The per-fix pass applies the same `bbox ∩ window(p)`
+    /// prefilter and exact `d ≤ r` test a direct tree query would, on a
+    /// superset list in the same traversal order — so the selected
+    /// candidates and their order are bitwise identical to the tree
+    /// path's. The oracle answers every non-NaN fix (out-of-bounds ones
+    /// clamp into a border cell); a NaN fix locates nowhere and gets no
+    /// candidates, exactly as its NaN window finds none in the tree.
     fn push_candidates(&self, scratch: &mut MatchScratch, p: Point) {
         let r = self.params.candidate_radius_m;
-        if let Some(oracle) = &self.oracle {
-            // hint memo: a fix inside the last served cell's nominal
-            // rectangle is provably covered by that cell's catchment
-            // window (catchment ⊇ rect + query-radius pad), so the stored
-            // slab range applies without re-locating
-            let range = match scratch.oracle_hint {
-                Some((rect, s, e))
-                    if p.x >= rect.min_x
-                        && p.x < rect.max_x
-                        && p.y >= rect.min_y
-                        && p.y < rect.max_y =>
-                {
-                    Some((s, e))
-                }
-                _ => oracle.locate(p).map(|cell| {
-                    let (s, e) = oracle.range(cell);
-                    scratch.oracle_hint = Some((oracle.cell_rect(cell), s, e));
-                    (s, e)
-                }),
-            };
-            if let Some((s, e)) = range {
-                let (rects, items) = oracle.slab(s, e);
-                let window = Rect::from_point(p).inflate(r);
-                // two passes: gather the window-passing candidates into the
-                // SoA slab in tree order, batch-evaluate Eq. 1 with the
-                // lane kernel (bit-identical per element to
-                // `distance_to_point`), then apply the exact `d <= r` cut
-                // in the same order the scalar loop would
-                scratch.pending.clear();
-                scratch.seg_lanes.clear();
-                for (rect, &seg_id) in rects.iter().zip(items) {
-                    if !rect.intersects(&window) {
-                        continue;
-                    }
-                    scratch.pending.push(seg_id);
-                    scratch.seg_lanes.push(self.net.segment(seg_id).geometry);
-                }
-                scratch
-                    .seg_lanes
-                    .distances_to_point(p, &mut scratch.dist_buf);
-                for (&seg_id, &d) in scratch.pending.iter().zip(&scratch.dist_buf) {
-                    if d <= r {
-                        scratch.cand_segs.push(seg_id);
-                        scratch.cand_scores.push(d);
-                    }
-                }
-                return;
+        let oracle = &self.oracle;
+        // hint memo: a fix inside the last served cell's nominal rectangle
+        // is provably covered by that cell's catchment window (catchment ⊇
+        // rect + query-radius pad), so the stored slab range applies
+        // without re-locating
+        let (s, e) = match scratch.oracle_hint {
+            Some((rect, s, e))
+                if p.x >= rect.min_x
+                    && p.x < rect.max_x
+                    && p.y >= rect.min_y
+                    && p.y < rect.max_y =>
+            {
+                (s, e)
             }
-            // beyond the precompute margin: the tree path is the oracle's
-            // own fallback contract
-        }
-        let key = ((p.x / r).floor() as i64, (p.y / r).floor() as i64);
-        if scratch.cell != Some(key) {
-            scratch.cell_segs.clear();
-            // tiny extra inflation absorbs the rounding of `p/r` at cell
-            // boundaries, keeping the superset property exact
-            let pad = r * (1.0 + 1e-9);
-            let cell_window = Rect::new(
-                key.0 as f64 * r,
-                key.1 as f64 * r,
-                (key.0 + 1) as f64 * r,
-                (key.1 + 1) as f64 * r,
-            )
-            .inflate(pad);
-            let segs = &mut scratch.cell_segs;
-            self.index.for_each_in_with_stack(
-                &mut scratch.tree_stack,
-                &cell_window,
-                |rect, &seg_id| segs.push((*rect, seg_id)),
-            );
-            scratch.cell = Some(key);
-        }
+            _ => {
+                let Some(cell) = oracle.locate(p) else {
+                    return;
+                };
+                let (s, e) = oracle.range(cell);
+                scratch.oracle_hint = Some((oracle.cell_rect(cell), s, e));
+                (s, e)
+            }
+        };
+        let (rects, items) = oracle.slab(s, e);
         let window = Rect::from_point(p).inflate(r);
-        // same gather → lane kernel → ordered cut as the oracle path
+        // two passes: gather the window-passing candidates into the SoA
+        // slab in tree order, batch-evaluate Eq. 1 with the lane kernel
+        // (bit-identical per element to `distance_to_point`), then apply
+        // the exact `d <= r` cut in the same order the scalar loop would
         scratch.pending.clear();
         scratch.seg_lanes.clear();
-        for &(rect, seg_id) in &scratch.cell_segs {
+        for (rect, &seg_id) in rects.iter().zip(items) {
             if !rect.intersects(&window) {
                 continue;
             }
@@ -485,7 +338,7 @@ impl GlobalMapMatcher {
     /// epoch-stamped dense slot map instead of the `O(W · C²)` nested scan,
     /// kernel weights are computed once per *pair* (the symmetric
     /// forward-row cache) instead of twice per fix, and candidate selection
-    /// reuses the per-cell cache in `scratch`.
+    /// reads the precomputed oracle slab instead of walking the tree.
     pub fn match_records_with(
         &self,
         scratch: &mut MatchScratch,
@@ -494,18 +347,14 @@ impl GlobalMapMatcher {
         let n = records.len();
 
         // Algorithm 2 lines 5–9: per-point candidates + local scores,
-        // flattened into the scratch arena. The cell cache persists across
+        // flattened into the scratch arena. The oracle hint persists across
         // calls while this matcher owns it (back-to-back episodes of a
-        // streaming session usually resume in the same cell); any other
-        // matcher's cache — a different radius, network or index backend —
-        // is discarded, not replayed.
-        if scratch.cell_owner != self.fingerprint {
-            scratch.cell = None;
-            scratch.cell_segs.clear();
-            // the oracle hint indexes the owner's arena — a foreign hint's
-            // slab range would be meaningless (or out of bounds) here
+        // streaming session usually resume in the same cell); a foreign
+        // hint indexes another arena — its slab range would be meaningless
+        // (or out of bounds) here — so it is discarded, not replayed.
+        if scratch.hint_owner != self.fingerprint {
             scratch.oracle_hint = None;
-            scratch.cell_owner = self.fingerprint;
+            scratch.hint_owner = self.fingerprint;
         }
         scratch.cand_segs.clear();
         scratch.cand_scores.clear();
@@ -528,15 +377,11 @@ impl GlobalMapMatcher {
         let radius = self.params.radius_m;
         let sigma = self.params.sigma_factor * radius;
         let inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma);
-        let kernel_mode = self.params.kernel_mode;
         // one expression for every Eq. 4 weight in this call — forward
         // rows, backward fallback recomputes and lane chunks all evaluate
         // the identical chain, so a cache hit and its recompute are
-        // bit-equal in either mode
-        let kernel_w = |d: f64| match kernel_mode {
-            KernelMode::Exact => (-d * d * inv_two_sigma_sq).exp(),
-            KernelMode::Fast => exp_fast(-d * d * inv_two_sigma_sq),
-        };
+        // bit-equal
+        let kernel_w = |d: f64| (-d * d * inv_two_sigma_sq).exp();
 
         scratch.slot.resize(self.net.segments().len(), 0);
         scratch.stamp.resize(self.net.segments().len(), 0);
@@ -694,13 +539,12 @@ impl GlobalMapMatcher {
     }
 
     /// Candidate segments of one point with their raw Eq. 1 distances, as
-    /// selected by the production hot path (oracle slab when enabled and
-    /// in reach, cell cache otherwise). Exposed so tests can assert the
-    /// candidate *set and order* — not just the final matches — against
-    /// [`Self::candidates_at_via_tree`]. Allocates; not for the hot path.
+    /// selected by the production hot path (the oracle slab). Exposed so
+    /// tests can assert the candidate *set and order* — not just the final
+    /// matches — against [`Self::candidates_at_via_tree`]. Allocates; not
+    /// for the hot path.
     pub fn candidates_at(&self, p: Point) -> Vec<(SegmentId, f64)> {
         let mut scratch = MatchScratch::new();
-        scratch.cell_owner = self.fingerprint;
         self.push_candidates(&mut scratch, p);
         scratch
             .cand_segs
@@ -722,13 +566,12 @@ impl GlobalMapMatcher {
     fn candidates(&self, p: Point) -> Vec<(SegmentId, f64)> {
         let window = Rect::from_point(p).inflate(self.params.candidate_radius_m);
         let mut out = Vec::new();
-        self.index
-            .for_each_in_with_stack(&mut FrozenRangeScratch::new(), &window, |_, &seg_id| {
-                let d = self.net.segment(seg_id).geometry.distance_to_point(p);
-                if d <= self.params.candidate_radius_m {
-                    out.push((seg_id, d));
-                }
-            });
+        self.tree.for_each_in(&window, |_, &seg_id| {
+            let d = self.net.segment(seg_id).geometry.distance_to_point(p);
+            if d <= self.params.candidate_radius_m {
+                out.push((seg_id, d));
+            }
+        });
         out
     }
 
@@ -1053,28 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_and_dynamic_backends_produce_identical_matches() {
-        let net = parallel_net();
-        let frozen = GlobalMapMatcher::new(&net, MatchParams::default());
-        let dynamic =
-            GlobalMapMatcher::with_index_mode(&net, MatchParams::default(), IndexMode::Dynamic);
-        let recs: Vec<GpsRecord> = (0..150)
-            .map(|i| {
-                let wobble = ((i * 11) % 29) as f64 - 14.0;
-                GpsRecord::new(
-                    Point::new(5.0 + i as f64 * 3.0, 3.0 + wobble),
-                    Timestamp(i as f64),
-                )
-            })
-            .collect();
-        assert_eq!(frozen.match_records(&recs), dynamic.match_records(&recs));
-        assert_eq!(
-            frozen.match_records_naive(&recs),
-            dynamic.match_records_naive(&recs)
-        );
-    }
-
-    #[test]
     fn scratch_reuse_across_episodes_matches_fresh_scratch() {
         let net = parallel_net();
         let m = GlobalMapMatcher::new(&net, MatchParams::default());
@@ -1085,32 +906,30 @@ mod tests {
         let rb = m.match_records_with(&mut scratch, &b);
         assert_eq!(ra, m.match_records_naive(&a));
         assert_eq!(rb, m.match_records_naive(&b));
-        // the cell cache now persists across calls: replaying episode `a`
-        // with the (possibly warm) cache must still be exact
+        // the oracle hint persists across calls: replaying episode `a`
+        // with the (possibly warm) hint must still be exact
         assert_eq!(m.match_records_with(&mut scratch, &a), ra);
     }
 
     #[test]
     fn one_scratch_alternating_two_matcher_configs_stays_exact() {
-        // Regression: the cell cache is keyed on the owning matcher. A
-        // server reuses scratches across sessions whose matchers differ in
-        // candidate radius / sigma / index backend; replaying matcher A's
-        // cached candidate list under matcher B's radius would silently
-        // drop (or invent) candidates. Alternate two configs — same cells,
-        // different radii and backends — through ONE scratch and demand
-        // exact agreement with each matcher's naive oracle every time.
+        // Regression: the scratch's cached state is keyed on the owning
+        // matcher. A server reuses scratches across sessions whose matchers
+        // differ in candidate radius / sigma; replaying matcher A's cached
+        // candidate state under matcher B's radius would silently drop (or
+        // invent) candidates. Alternate two configs — same cells, different
+        // radii — through ONE scratch and demand exact agreement with each
+        // matcher's naive reference every time.
         let net = parallel_net();
         let wide = GlobalMapMatcher::new(&net, MatchParams::default());
-        let narrow = GlobalMapMatcher::with_index_mode(
+        let narrow = GlobalMapMatcher::new(
             &net,
             MatchParams {
                 radius_m: 12.0,
                 sigma_factor: 0.4,
                 candidate_radius_m: 25.0,
                 max_neighbors: 16,
-                kernel_mode: KernelMode::Exact,
             },
-            IndexMode::Dynamic,
         );
         let mut scratch = MatchScratch::new();
         let tracks = [
@@ -1138,52 +957,31 @@ mod tests {
 
     #[test]
     fn oracle_matches_tree_at_and_beyond_the_bounds() {
-        // Regression (grid border clamping): fixes exactly on
-        // `bounds.max_x/max_y` floor into grid index nx/ny and rely on the
-        // clamp into the border cell; fixes beyond the bounds clamp too
-        // and must still see every candidate the tree sees, because the
-        // border catchments were inflated by the margin. Sweep probes on,
-        // inside and beyond every border and demand candidate-list
+        // The oracle answers every non-NaN fix by clamping it into the
+        // grid, so it must agree with the per-fix tree query everywhere:
+        // on every border and corner (a fix exactly on max_x/max_y floors
+        // to grid index nx/ny), an ulp either side of them, r / 2r / 250 m
+        // / 10⁶ m in and out, at ±1e300, ±∞ and NaN. Demand candidate-list
         // identity (set AND order) plus full-match agreement with naive.
         let net = parallel_net();
         let m = GlobalMapMatcher::new(&net, MatchParams::default());
-        let b = {
-            let mut b = Rect::EMPTY;
-            for s in net.segments() {
-                b = b.union(&s.geometry.bbox());
-            }
-            b
-        };
-        let margin = semitri_index::DEFAULT_ORACLE_MARGIN_M;
-        let mut probes = vec![
-            Point::new(b.max_x, b.max_y),
-            Point::new(b.max_x, b.min_y),
-            Point::new(b.min_x, b.max_y),
-            Point::new(b.min_x, b.min_y),
-            Point::new(b.max_x + 50.0, 3.0),
-            Point::new(b.min_x - 50.0, 3.0),
-            Point::new(250.0, b.max_y + 50.0),
-            Point::new(250.0, b.min_y - 50.0),
-            Point::new(b.max_x + margin, b.max_y + margin),
-            // beyond the margin: served by the tree fallback
-            Point::new(b.max_x + margin + 10.0, 3.0),
-            Point::new(0.0, 5_000.0),
-        ];
-        for i in 0..40 {
-            probes.push(Point::new(
-                -60.0 + i as f64 * 16.0,
-                -210.0 + i as f64 * 12.0,
-            ));
-        }
+        let b = net
+            .segments()
+            .iter()
+            .fold(Rect::EMPTY, |b, s| b.union(&s.geometry.bbox()));
+        let probes = crate::test_probes::edge_probes(b, m.params().candidate_radius_m);
+        let mut found = 0usize;
         for p in &probes {
-            assert_eq!(
-                m.candidates_at(*p),
-                m.candidates_at_via_tree(*p),
-                "candidate identity at {p:?}"
-            );
+            let want = m.candidates_at_via_tree(*p);
+            assert_eq!(m.candidates_at(*p), want, "candidate identity at {p:?}");
+            found += usize::from(!want.is_empty());
         }
+        assert!(found > 100, "edge probes must reach real candidates");
+        // NaN fixes never reach the matcher (preprocessing drops them), and
+        // the neighbor window is only defined over comparable distances
         let recs: Vec<GpsRecord> = probes
             .iter()
+            .filter(|p| !p.x.is_nan() && !p.y.is_nan())
             .enumerate()
             .map(|(i, &p)| GpsRecord::new(p, Timestamp(i as f64)))
             .collect();
@@ -1195,41 +993,33 @@ mod tests {
         // Regression (scratch/oracle epoch aliasing): the oracle hint in
         // the scratch stores a slab range into one matcher's arena.
         // Replaying it under a matcher with a different arena — different
-        // radius, disabled oracle, dynamic backend — would read the wrong
-        // (or no) slab. The fingerprint guard must invalidate it; demand
-        // exact agreement with each matcher's naive oracle every round.
+        // candidate radius, hence a different grid — would read the wrong
+        // slab. The fingerprint guard must invalidate it; demand exact
+        // agreement with each matcher's naive reference every round.
         let net = parallel_net();
         let oracle_wide = GlobalMapMatcher::new(&net, MatchParams::default());
-        let oracle_narrow = GlobalMapMatcher::with_modes(
+        let oracle_narrow = GlobalMapMatcher::new(
             &net,
             MatchParams {
                 radius_m: 12.0,
                 sigma_factor: 0.4,
                 candidate_radius_m: 25.0,
                 max_neighbors: 16,
-                kernel_mode: KernelMode::Exact,
             },
-            IndexMode::Frozen,
-            OracleMode::Precomputed { margin_m: 40.0 },
         );
-        let no_oracle = GlobalMapMatcher::with_modes(
+        let oracle_coarse = GlobalMapMatcher::new(
             &net,
-            MatchParams::default(),
-            IndexMode::Frozen,
-            OracleMode::Disabled,
+            MatchParams {
+                candidate_radius_m: 150.0,
+                ..MatchParams::default()
+            },
         );
-        let dynamic_oracle = GlobalMapMatcher::with_modes(
-            &net,
-            MatchParams::default(),
-            IndexMode::Dynamic,
-            OracleMode::default(),
-        );
-        let matchers = [&oracle_wide, &oracle_narrow, &no_oracle, &dynamic_oracle];
+        let matchers = [&oracle_wide, &oracle_narrow, &oracle_coarse];
         let mut scratch = MatchScratch::new();
         let tracks = [
             track_along(2.0, &[0.0; 25]),
             track_along(38.0, &[1.5; 25]),
-            // wanders past the margin of the narrow oracle
+            // wanders beyond the network's bounds
             track_along(5.0, &[-300.0; 25]),
         ];
         for round in 0..3 {
@@ -1243,33 +1033,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn disabled_oracle_and_default_produce_identical_matches() {
-        let net = parallel_net();
-        let with = GlobalMapMatcher::new(&net, MatchParams::default());
-        let without = GlobalMapMatcher::with_modes(
-            &net,
-            MatchParams::default(),
-            IndexMode::Frozen,
-            OracleMode::Disabled,
-        );
-        assert!(with.oracle().is_some());
-        assert!(without.oracle().is_none());
-        let recs: Vec<GpsRecord> = (0..150)
-            .map(|i| {
-                let wobble = ((i * 11) % 29) as f64 - 14.0;
-                GpsRecord::new(
-                    Point::new(5.0 + i as f64 * 3.0, 3.0 + wobble),
-                    Timestamp(i as f64),
-                )
-            })
-            .collect();
-        assert_eq!(with.match_records(&recs), without.match_records(&recs));
-        for p in recs.iter().map(|r| r.point) {
-            assert_eq!(with.candidates_at(p), without.candidates_at(p));
         }
     }
 
@@ -1344,45 +1107,5 @@ mod tests {
         let mut scratch = MatchScratch::new();
         let _ = m.match_records_with(&mut scratch, &recs);
         assert_eq!(scratch.kernel_fallbacks(), 0);
-    }
-
-    #[test]
-    fn fast_kernel_mode_stays_within_documented_tolerance() {
-        let net = parallel_net();
-        let exact = GlobalMapMatcher::new(&net, MatchParams::default());
-        let fast = GlobalMapMatcher::new(
-            &net,
-            MatchParams {
-                kernel_mode: KernelMode::Fast,
-                ..MatchParams::default()
-            },
-        );
-        let recs: Vec<GpsRecord> = (0..200)
-            .map(|i| {
-                let wobble = ((i * 7) % 23) as f64 - 11.0;
-                GpsRecord::new(
-                    Point::new(10.0 + i as f64, 3.0 + wobble),
-                    Timestamp(i as f64),
-                )
-            })
-            .collect();
-        let me = exact.match_records(&recs);
-        let mf = fast.match_records(&recs);
-        assert_eq!(me.len(), mf.len());
-        for (e, f) in me.iter().zip(&mf) {
-            let (e, f) = (e.expect("matched"), f.expect("matched"));
-            // candidate selection and the radius cut are mode-independent;
-            // only the Eq. 4 weights (hence scores) may drift, and scores
-            // are weighted means of values in [0, 1], so a relative weight
-            // error of EXP_FAST_REL_TOL perturbs a score by O(tol)
-            assert_eq!(e.segment, f.segment);
-            assert_eq!(e.snapped, f.snapped);
-            assert!(
-                (e.score - f.score).abs() <= 16.0 * semitri_geo::EXP_FAST_REL_TOL,
-                "score drift {} vs {}",
-                e.score,
-                f.score
-            );
-        }
     }
 }

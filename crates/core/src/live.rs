@@ -118,6 +118,28 @@ impl Mutation {
             }
         }
     }
+
+    /// [`Mutation::validate`] plus containment: added roads, POIs and
+    /// regions must lie inside `city` (the rectangle the landuse raster
+    /// and the point grid cover). A rebuild sizes the segment and POI
+    /// oracle grids from the indexed items' bounding box, so one edit a
+    /// thousand kilometers out would otherwise cost billions of cells.
+    fn validate_within(&self, city: Rect) -> Result<(), String> {
+        self.validate()?;
+        let inside = match self {
+            Mutation::AddRoad { from, to, .. } => {
+                city.contains_point(*from) && city.contains_point(*to)
+            }
+            Mutation::AddPoi { point, .. } => city.contains_point(*point),
+            Mutation::AddRegion { bounds, .. } => city.contains_rect(bounds),
+            Mutation::SetLanduse { .. } => true,
+        };
+        if inside {
+            Ok(())
+        } else {
+            Err(format!("edit lies outside the city bounds {city:?}"))
+        }
+    }
 }
 
 /// What one [`LiveSeMiTri::publish`] did.
@@ -177,11 +199,24 @@ impl LiveSeMiTri {
     }
 
     /// Queues one mutation for the next publish. Invalid mutations (see
-    /// [`Mutation::validate`]) are rejected here so the rebuild path can
-    /// assume every queued edit applies cleanly.
+    /// [`Mutation::validate`]) and roads, POIs or regions outside the
+    /// city bounds are rejected here, so the rebuild path can assume every
+    /// queued edit applies cleanly and every indexed item lies inside the
+    /// city.
     pub fn submit(&self, mutation: Mutation) -> Result<(), String> {
-        mutation.validate()?;
-        self.lock_state().pending.push(mutation);
+        self.submit_all(vec![mutation])
+    }
+
+    /// Queues a batch of mutations all-or-nothing: every one is checked
+    /// as [`LiveSeMiTri::submit`] checks it before any is queued, so a
+    /// rejected batch leaves the log as it was.
+    pub fn submit_all(&self, batch: Vec<Mutation>) -> Result<(), String> {
+        let mut state = self.lock_state();
+        let city = state.base.bounds();
+        for m in &batch {
+            m.validate_within(city)?;
+        }
+        state.pending.extend(batch);
         Ok(())
     }
 
@@ -367,6 +402,65 @@ mod tests {
             })
             .is_err());
         assert_eq!(live.pending(), 0);
+    }
+
+    #[test]
+    fn out_of_city_edits_are_rejected_at_submit() {
+        let live = LiveSeMiTri::new(small_city(), PipelineConfig::default, None);
+        // a road a thousand kilometers out would stretch the next
+        // publish's segment oracle grid to billions of cells
+        let far_road = Mutation::AddRoad {
+            from: Point::new(1e6, 1e6),
+            to: Point::new(1e6, 1e6 + 1.0),
+            class: RoadClass::Street,
+            bus_route: false,
+            name: "far away".into(),
+        };
+        assert!(live.submit(far_road).is_err());
+        for far in [
+            Mutation::AddPoi {
+                point: Point::new(-1.0, 500.0),
+                category: PoiCategory::Feedings,
+                name: "just outside".into(),
+            },
+            Mutation::AddRegion {
+                name: "overhang".into(),
+                kind: RegionKind::Market,
+                bounds: Rect::new(1_900.0, 1_900.0, 2_100.0, 2_000.0),
+            },
+        ] {
+            assert!(live.submit(far).is_err());
+        }
+        assert_eq!(live.pending(), 0);
+        assert_eq!(live.current_id(), GenerationId(0));
+
+        // all-or-nothing: an in-city first edit is not queued behind a
+        // rejected second one
+        let batch = vec![
+            Mutation::AddPoi {
+                point: Point::new(150.0, 150.0),
+                category: PoiCategory::Feedings,
+                name: "inside".into(),
+            },
+            Mutation::AddPoi {
+                point: Point::new(150.0, 2_000.5),
+                category: PoiCategory::Feedings,
+                name: "outside".into(),
+            },
+        ];
+        assert!(live.submit_all(batch).is_err());
+        assert_eq!(live.pending(), 0);
+
+        // the city's own edges are inside
+        live.submit(Mutation::AddRoad {
+            from: Point::new(0.0, 0.0),
+            to: Point::new(2_000.0, 2_000.0),
+            class: RoadClass::Street,
+            bus_route: false,
+            name: "diagonal".into(),
+        })
+        .unwrap();
+        assert_eq!(live.pending(), 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::preprocess::Preprocessor;
 use crate::region::{RegionAnnotator, RegionTuple};
 use semitri_data::{City, FeedError, GpsFeed, GpsRecord, RawTrajectory};
 use semitri_episodes::{Episode, EpisodeKind, SegmentationPolicy, VelocityPolicy};
-use semitri_index::{IndexMode, OracleMode};
 use semitri_obs::{CleaningReport, PipelineObserver, Stage, KERNEL_FALLBACK_METRIC};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,21 +48,6 @@ pub struct PipelineConfig {
     pub mode: ModeInferencer,
     /// Point-layer parameters.
     pub point_params: PointParams,
-    /// Spatial-index backend of the line and point layers (the region
-    /// layer addresses the landuse raster by arithmetic and keeps its few
-    /// named regions frozen). The default ([`IndexMode::Frozen`]) builds
-    /// each R\*-tree once and freezes it into the flat cache-packed
-    /// snapshot; results are identical to the dynamic backend byte for
-    /// byte (the integration suite asserts it).
-    pub index_mode: IndexMode,
-    /// Precomputed per-cell candidate oracle for the line and point
-    /// layers. The default ([`OracleMode::Precomputed`]) materializes the
-    /// per-grid-cell candidate slabs at build time, turning the per-fix
-    /// candidate query into an O(1) slab lookup; results are identical to
-    /// the tree path byte for byte (the integration suite asserts it).
-    /// [`OracleMode::Disabled`] trades that throughput back for the arena
-    /// memory.
-    pub oracle_mode: OracleMode,
 }
 
 impl Default for PipelineConfig {
@@ -74,8 +58,6 @@ impl Default for PipelineConfig {
             match_params: MatchParams::default(),
             mode: ModeInferencer::default(),
             point_params: PointParams::default(),
-            index_mode: IndexMode::Frozen,
-            oracle_mode: OracleMode::default(),
         }
     }
 }
@@ -168,28 +150,20 @@ pub struct SeMiTri {
 
 impl SeMiTri {
     /// Builds the middleware: indexes the landuse grid, the road network
-    /// and the POIs of `city`. The point layer is skipped when the city
-    /// has no POIs (the paper's sparse-Lausanne situation, §5.3).
+    /// and the POIs of `city`. The line and point layers each read one
+    /// frozen R\*-tree plus the per-cell candidate oracle gathered from it.
+    /// The point layer is skipped when the city has no POIs (the paper's
+    /// sparse-Lausanne situation, §5.3).
     ///
     /// Accepts either an `Arc<City>` (shared, no copy — the generation
     /// layer's path) or `&City` (cloned into a fresh `Arc` for callers
     /// that keep ownership).
     pub fn new(city: impl Into<Arc<City>>, config: PipelineConfig) -> Self {
         let city = city.into();
-        let mode = config.index_mode;
-        let oracle_mode = config.oracle_mode;
         let region = RegionAnnotator::from_landuse(&city.landuse);
         let named = RegionAnnotator::from_named_regions(&city.regions);
-        let matcher =
-            GlobalMapMatcher::with_modes(&city.roads, config.match_params, mode, oracle_mode);
-        let point = PointAnnotator::with_modes(
-            &city.pois,
-            city.bounds(),
-            config.point_params,
-            mode,
-            oracle_mode,
-        )
-        .ok();
+        let matcher = GlobalMapMatcher::new(&city.roads, config.match_params);
+        let point = PointAnnotator::new(&city.pois, city.bounds(), config.point_params).ok();
         Self {
             city,
             region,

@@ -15,10 +15,10 @@ pub mod observation;
 use crate::error::SemitriError;
 use crate::model::{PlaceKind, PlaceRef};
 use hmm::Hmm;
-use observation::{PoiLookupScratch, PoiObservationModel, CATEGORY_COUNT};
+use observation::{PoiObservationModel, CATEGORY_COUNT};
 use semitri_data::{PoiCategory, PoiSet};
 use semitri_geo::{Point, Rect};
-use semitri_index::{IndexMode, OracleMode};
+use semitri_index::FrozenNearestScratch;
 
 /// The result for one stop: the inferred category and, when resolvable,
 /// the exact POI behind the stop.
@@ -92,34 +92,6 @@ impl PointAnnotator {
     /// # Errors
     /// Returns [`SemitriError::NoPoiData`] for an empty POI set.
     pub fn new(pois: &PoiSet, bounds: Rect, params: PointParams) -> Result<Self, SemitriError> {
-        Self::with_index_mode(pois, bounds, params, IndexMode::Frozen)
-    }
-
-    /// [`PointAnnotator::new`] with an explicit backend for the POI
-    /// resolution index (keeps the default shortlist oracle).
-    ///
-    /// # Errors
-    /// Returns [`SemitriError::NoPoiData`] for an empty POI set.
-    pub fn with_index_mode(
-        pois: &PoiSet,
-        bounds: Rect,
-        params: PointParams,
-        mode: IndexMode,
-    ) -> Result<Self, SemitriError> {
-        Self::with_modes(pois, bounds, params, mode, OracleMode::default())
-    }
-
-    /// [`PointAnnotator::new`] with explicit index and oracle backends.
-    ///
-    /// # Errors
-    /// Returns [`SemitriError::NoPoiData`] for an empty POI set.
-    pub fn with_modes(
-        pois: &PoiSet,
-        bounds: Rect,
-        params: PointParams,
-        mode: IndexMode,
-        oracle_mode: OracleMode,
-    ) -> Result<Self, SemitriError> {
         if pois.is_empty() {
             return Err(SemitriError::NoPoiData);
         }
@@ -128,14 +100,8 @@ impl PointAnnotator {
         let pi: Vec<f64> = hist.iter().map(|&c| c as f64 / total as f64).collect();
         let a = Hmm::default_transitions(CATEGORY_COUNT);
         let hmm = Hmm::new(&pi, &a).expect("consistent dimensions");
-        let model = PoiObservationModel::with_modes(
-            pois,
-            bounds,
-            params.cell_size_m,
-            params.neighbor_radius_m,
-            mode,
-            oracle_mode,
-        );
+        let model =
+            PoiObservationModel::new(pois, bounds, params.cell_size_m, params.neighbor_radius_m);
         Ok(Self {
             model,
             hmm,
@@ -219,7 +185,7 @@ impl PointAnnotator {
         let (path, _) = self.hmm.viterbi(&b).expect("rows are CATEGORY_COUNT wide");
         // one kNN heap for the whole stop sequence: POI resolution then
         // performs no per-stop allocation
-        let mut scratch = PoiLookupScratch::new();
+        let mut scratch = FrozenNearestScratch::new();
         path.iter()
             .zip(stop_centers)
             .map(|(&state, &center)| {

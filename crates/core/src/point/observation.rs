@@ -18,39 +18,13 @@
 
 use semitri_data::{Poi, PoiCategory, PoiSet};
 use semitri_geo::{Point, Rect};
-use semitri_index::{
-    CellOracle, FrozenNearestScratch, FrozenRStarTree, GridIndex, IndexMode, NearestScratch,
-    OracleMode, RStarTree,
-};
+use semitri_index::{CellOracle, FrozenNearestScratch, FrozenRStarTree, GridIndex, RStarTree};
 
 /// Number of POI categories (the Milan taxonomy of Fig. 5).
 pub const CATEGORY_COUNT: usize = 5;
 
 /// One indexed POI: position, id, slot in the source `PoiSet`, category.
 pub type PoiItem = (Point, u64, u32, PoiCategory);
-
-/// The POI-resolution backend: a point R\*-tree queried by best-first kNN
-/// with a category-filtered distance. Built once, read once per stop, so
-/// the frozen snapshot is the default.
-#[derive(Debug, Clone)]
-enum PoiIndex {
-    Dynamic(RStarTree<PoiItem>),
-    Frozen(Box<FrozenRStarTree<PoiItem>>),
-}
-
-/// Reusable kNN heap storage for [`PoiObservationModel::nearest_of_category_with`]
-/// (only the active backend's buffer ever warms up).
-#[derive(Debug, Default)]
-pub(crate) struct PoiLookupScratch<'t> {
-    dynamic: NearestScratch<'t, PoiItem>,
-    frozen: FrozenNearestScratch,
-}
-
-impl PoiLookupScratch<'_> {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// The observation model over a POI source.
 #[derive(Debug, Clone)]
@@ -59,21 +33,32 @@ pub struct PoiObservationModel {
     /// category)`; the stored position makes resolving a winning POI O(1)
     /// instead of a linear scan over the whole set.
     grid: GridIndex<(u64, u32, PoiCategory)>,
-    /// R\*-tree over the same POIs, used for the per-stop nearest-POI
-    /// resolution via best-first kNN (frozen by default).
-    lookup: PoiIndex,
-    /// Precomputed per-cell nearest-POI shortlists (the default): every POI
-    /// within `neighbor_radius` of any point of a cell is in that cell's
-    /// slab, so a stop's category argmin scans a short list instead of
-    /// walking the kNN heap. Exact-distance ties (and stops beyond the
-    /// precompute margin) fall back to the tree so results stay bitwise
-    /// identical to the heap path.
-    oracle: Option<CellOracle<PoiItem>>,
+    /// Frozen R\*-tree over the same POIs: the shortlist oracle is
+    /// gathered from it, and its best-first kNN heap resolves the cases
+    /// the shortlist cannot.
+    lookup: FrozenRStarTree<PoiItem>,
+    /// Precomputed per-cell nearest-POI shortlists: every POI within
+    /// `neighbor_radius` of any point of a cell is in that cell's slab, so
+    /// a stop's category argmin scans a short list instead of walking the
+    /// kNN heap. Exact-distance ties and NaN stops fall back to the heap
+    /// so results stay bitwise identical to the heap path.
+    oracle: CellOracle<PoiItem>,
     /// Precomputed `Pr(grid_jk | C_i)` rows, one per grid cell
     /// (unnormalized likelihoods; Viterbi only needs proportionality).
     cell_rows: Vec<[f64; CATEGORY_COUNT]>,
     /// Radius within which neighboring POIs contribute to a stop.
     neighbor_radius: f64,
+}
+
+/// The POI `id` stored at position `idx` of the model's source set, in
+/// O(1); the id check (and the linear fallback) keeps the lookup correct
+/// when the caller passes a different `PoiSet` than the one the model was
+/// built from.
+fn resolve(pois: &PoiSet, id: u64, idx: u32) -> Option<&Poi> {
+    pois.pois()
+        .get(idx as usize)
+        .filter(|poi| poi.id == id)
+        .or_else(|| pois.pois().iter().find(|poi| poi.id == id))
 }
 
 /// Likelihood floor so a category with no nearby POI stays possible but
@@ -86,44 +71,13 @@ impl PoiObservationModel {
     /// POIs within `neighbor_radius` of each cell center (the paper's
     /// "only neighboring POIs in that box").
     ///
+    /// The nearest-POI lookup is a frozen R\*-tree over the POIs plus a
+    /// shortlist oracle gathered from it, with grid pitch and query radius
+    /// both equal to `neighbor_radius`.
+    ///
     /// # Panics
     /// Panics if `pois` is empty or the parameters are non-positive.
     pub fn new(pois: &PoiSet, bounds: Rect, cell_size: f64, neighbor_radius: f64) -> Self {
-        Self::with_index_mode(pois, bounds, cell_size, neighbor_radius, IndexMode::Frozen)
-    }
-
-    /// [`PoiObservationModel::new`] with an explicit backend for the
-    /// nearest-POI resolution index (keeps the default shortlist oracle).
-    pub fn with_index_mode(
-        pois: &PoiSet,
-        bounds: Rect,
-        cell_size: f64,
-        neighbor_radius: f64,
-        mode: IndexMode,
-    ) -> Self {
-        Self::with_modes(
-            pois,
-            bounds,
-            cell_size,
-            neighbor_radius,
-            mode,
-            OracleMode::default(),
-        )
-    }
-
-    /// [`PoiObservationModel::new`] with explicit index and oracle
-    /// backends. The shortlist oracle is gathered from a frozen snapshot
-    /// in both index modes (frozen and dynamic visit orders are
-    /// bit-identical), with grid pitch and query radius both equal to
-    /// `neighbor_radius`.
-    pub fn with_modes(
-        pois: &PoiSet,
-        bounds: Rect,
-        cell_size: f64,
-        neighbor_radius: f64,
-        mode: IndexMode,
-        oracle_mode: OracleMode,
-    ) -> Self {
         assert!(!pois.is_empty(), "observation model needs at least one POI");
         assert!(
             cell_size > 0.0 && neighbor_radius > 0.0,
@@ -133,7 +87,7 @@ impl PoiObservationModel {
         for (i, p) in pois.pois().iter().enumerate() {
             grid.insert(p.point, (p.id, i as u32, p.category));
         }
-        let tree = RStarTree::bulk_load(
+        let lookup = RStarTree::bulk_load(
             pois.pois()
                 .iter()
                 .enumerate()
@@ -144,31 +98,9 @@ impl PoiObservationModel {
                     )
                 })
                 .collect(),
-        );
-        let build = |frozen: &FrozenRStarTree<PoiItem>| match oracle_mode {
-            OracleMode::Precomputed { margin_m } => Some(CellOracle::build(
-                frozen,
-                neighbor_radius,
-                neighbor_radius,
-                margin_m,
-            )),
-            OracleMode::Disabled => None,
-        };
-        let (lookup, oracle) = match mode {
-            IndexMode::Frozen => {
-                let frozen = Box::new(tree.freeze());
-                let oracle = build(&frozen);
-                (PoiIndex::Frozen(frozen), oracle)
-            }
-            IndexMode::Dynamic => {
-                let oracle = if matches!(oracle_mode, OracleMode::Disabled) {
-                    None
-                } else {
-                    build(&tree.clone().freeze())
-                };
-                (PoiIndex::Dynamic(tree), oracle)
-            }
-        };
+        )
+        .freeze();
+        let oracle = CellOracle::build(&lookup, neighbor_radius, neighbor_radius);
         let mut cell_rows = vec![[FLOOR; CATEGORY_COUNT]; grid.nx() * grid.ny()];
         for row in 0..grid.ny() {
             for col in 0..grid.nx() {
@@ -186,10 +118,9 @@ impl PoiObservationModel {
         }
     }
 
-    /// The precomputed shortlist oracle, when enabled (for memory
-    /// reporting).
-    pub fn oracle(&self) -> Option<&CellOracle<PoiItem>> {
-        self.oracle.as_ref()
+    /// The precomputed shortlist oracle (for memory reporting).
+    pub fn oracle(&self) -> &CellOracle<PoiItem> {
+        &self.oracle
     }
 
     /// Lemma 1: per-category Gaussian sums at `p` over neighboring POIs.
@@ -233,20 +164,19 @@ impl PoiObservationModel {
         p: Point,
         cat: PoiCategory,
     ) -> Option<&'p Poi> {
-        self.nearest_of_category_with(&mut PoiLookupScratch::new(), pois, p, cat)
+        self.nearest_of_category_with(&mut FrozenNearestScratch::new(), pois, p, cat)
     }
 
     /// [`PoiObservationModel::nearest_of_category`] threading a reusable
     /// kNN heap, so a whole fleet's stop resolution performs no per-stop
     /// allocation.
     ///
-    /// Best-first k=1 search with a category-filtered exact distance
-    /// (`∞` for other categories — an admissible bound, since `∞`
-    /// dominates every bbox estimate), then the neighbor-radius gate the
-    /// paper's "neighboring POIs" definition requires.
-    pub(crate) fn nearest_of_category_with<'t, 'p>(
-        &'t self,
-        scratch: &mut PoiLookupScratch<'t>,
+    /// Scans the cell's shortlist; where it cannot decide alone, resolves
+    /// through [`PoiObservationModel::nearest_of_category_via_heap`]'s
+    /// best-first search.
+    pub(crate) fn nearest_of_category_with<'p>(
+        &self,
+        scratch: &mut FrozenNearestScratch,
         pois: &'p PoiSet,
         p: Point,
         cat: PoiCategory,
@@ -261,42 +191,63 @@ impl PoiObservationModel {
         // strictly farther than the radius) — exactly the heap's answer;
         // (c) an exact-distance tie ⇒ the heap's traversal order picks the
         // winner, so fall through to the real heap for bitwise identity.
-        if let Some(oracle) = &self.oracle {
-            if let Some((_, items)) = oracle.candidates(p) {
-                let mut best: Option<(f64, u64, u32)> = None;
-                let mut tied = false;
-                for &(q, id, idx, c) in items {
-                    if c != cat {
-                        continue;
-                    }
-                    let d = q.distance(p);
-                    if d > self.neighbor_radius {
-                        continue;
-                    }
-                    if let Some((bd, _, _)) = best {
-                        if d < bd {
-                            best = Some((d, id, idx));
-                            tied = false;
-                        } else if d == bd {
-                            tied = true;
-                        }
-                    } else {
-                        best = Some((d, id, idx));
-                    }
+        // A NaN stop locates no cell: its distances compare as neither
+        // near nor far, so only the heap reproduces the heap's answer.
+        if let Some((_, items)) = self.oracle.candidates(p) {
+            let mut best: Option<(f64, u64, u32)> = None;
+            let mut tied = false;
+            for &(q, id, idx, c) in items {
+                if c != cat {
+                    continue;
                 }
-                match best {
-                    None => return None,
-                    Some((_, id, idx)) if !tied => {
-                        return pois
-                            .pois()
-                            .get(idx as usize)
-                            .filter(|poi| poi.id == id)
-                            .or_else(|| pois.pois().iter().find(|poi| poi.id == id));
+                let d = q.distance(p);
+                if d > self.neighbor_radius {
+                    continue;
+                }
+                if let Some((bd, _, _)) = best {
+                    if d < bd {
+                        best = Some((d, id, idx));
+                        tied = false;
+                    } else if d == bd {
+                        tied = true;
                     }
-                    Some(_) => {}
+                } else {
+                    best = Some((d, id, idx));
                 }
             }
+            match best {
+                None => return None,
+                Some((_, id, idx)) if !tied => return resolve(pois, id, idx),
+                Some(_) => {}
+            }
         }
+        self.nearest_via_heap(scratch, pois, p, cat)
+    }
+
+    /// The heap-only twin of [`PoiObservationModel::nearest_of_category`]:
+    /// best-first kNN over the frozen tree, never consulting the shortlist
+    /// oracle. The reference the shortlist path must reproduce exactly.
+    /// Allocates; not for the hot path.
+    pub fn nearest_of_category_via_heap<'p>(
+        &self,
+        pois: &'p PoiSet,
+        p: Point,
+        cat: PoiCategory,
+    ) -> Option<&'p Poi> {
+        self.nearest_via_heap(&mut FrozenNearestScratch::new(), pois, p, cat)
+    }
+
+    /// Best-first k=1 search with a category-filtered exact distance
+    /// (`∞` for other categories — an admissible bound, since `∞`
+    /// dominates every bbox estimate), then the neighbor-radius gate the
+    /// paper's "neighboring POIs" definition requires.
+    fn nearest_via_heap<'p>(
+        &self,
+        scratch: &mut FrozenNearestScratch,
+        pois: &'p PoiSet,
+        p: Point,
+        cat: PoiCategory,
+    ) -> Option<&'p Poi> {
         let dist = |item: &PoiItem| {
             if item.3 == cat {
                 item.0.distance(p)
@@ -304,27 +255,15 @@ impl PoiObservationModel {
                 f64::INFINITY
             }
         };
-        let best = match &self.lookup {
-            PoiIndex::Dynamic(t) => t
-                .nearest_by_with(&mut scratch.dynamic, p, 1, dist)
-                .first()
-                .map(|&(d, &(_, id, idx, _))| (d, id, idx)),
-            PoiIndex::Frozen(t) => t
-                .nearest_by_with(&mut scratch.frozen, p, 1, dist)
-                .first()
-                .map(|&(d, &(_, id, idx, _))| (d, id, idx)),
-        };
-        let (d, id, idx) = best?;
+        let (d, id, idx) = self
+            .lookup
+            .nearest_by_with(scratch, p, 1, dist)
+            .first()
+            .map(|&(d, &(_, id, idx, _))| (d, id, idx))?;
         if d > self.neighbor_radius {
             return None;
         }
-        // O(1) resolution via the indexed position; the id check (and the
-        // linear fallback) keeps the lookup correct when the caller passes
-        // a different `PoiSet` than the one the model was built from
-        pois.pois()
-            .get(idx as usize)
-            .filter(|poi| poi.id == id)
-            .or_else(|| pois.pois().iter().find(|poi| poi.id == id))
+        resolve(pois, id, idx)
     }
 
     /// Number of grid cells of the discretization.
@@ -452,12 +391,11 @@ mod tests {
 
     #[test]
     fn nearest_of_category_agrees_with_brute_force_on_both_backends() {
+        // both read paths — the shortlist oracle and the kNN heap — find
+        // the brute-force category argmin within the radius
         let (pois, bounds) = two_cluster_set();
-        let frozen = PoiObservationModel::new(&pois, bounds, 50.0, 150.0);
-        let dynamic =
-            PoiObservationModel::with_index_mode(&pois, bounds, 50.0, 150.0, IndexMode::Dynamic);
-        let mut scratch_f = PoiLookupScratch::new();
-        let mut scratch_d = PoiLookupScratch::new();
+        let m = PoiObservationModel::new(&pois, bounds, 50.0, 150.0);
+        let mut scratch = FrozenNearestScratch::new();
         for i in 0..40 {
             let p = Point::new((i * 37 % 100) as f64 * 10.0, (i * 53 % 100) as f64 * 10.0);
             for cat in [
@@ -476,62 +414,88 @@ mod tests {
                             .unwrap()
                     })
                     .map(|poi| poi.id);
-                let f = frozen
-                    .nearest_of_category_with(&mut scratch_f, &pois, p, cat)
+                let shortlist = m
+                    .nearest_of_category_with(&mut scratch, &pois, p, cat)
                     .map(|poi| poi.id);
-                let d = dynamic
-                    .nearest_of_category_with(&mut scratch_d, &pois, p, cat)
+                let heap = m
+                    .nearest_of_category_via_heap(&pois, p, cat)
                     .map(|poi| poi.id);
-                assert_eq!(f, brute, "probe {i} cat {cat:?}");
-                assert_eq!(d, brute, "probe {i} cat {cat:?}");
+                assert_eq!(shortlist, brute, "probe {i} cat {cat:?}");
+                assert_eq!(heap, brute, "probe {i} cat {cat:?}");
             }
         }
     }
 
     #[test]
     fn shortlist_oracle_agrees_with_the_heap_path_everywhere() {
-        let (pois, bounds) = two_cluster_set();
-        let with = PoiObservationModel::new(&pois, bounds, 50.0, 150.0);
-        let without = PoiObservationModel::with_modes(
-            &pois,
-            bounds,
-            50.0,
-            150.0,
-            IndexMode::Frozen,
-            OracleMode::Disabled,
-        );
-        assert!(with.oracle().is_some());
-        assert!(without.oracle().is_none());
-        let mut s1 = PoiLookupScratch::new();
-        let mut s2 = PoiLookupScratch::new();
-        // probes across the bounds, beyond them (margin + fallback), and
-        // exactly on POI positions
-        let mut probes: Vec<Point> = (0..60)
-            .map(|i| {
-                Point::new(
-                    (i * 37 % 120) as f64 * 12.0 - 100.0,
-                    (i * 53 % 120) as f64 * 12.0 - 100.0,
-                )
-            })
-            .collect();
+        // The two clusters, a Services pair mirrored about the middle of
+        // the POI bounds, and a 24 × 24 PersonLife lattice spread over many
+        // tree leaves, so probes on the midline and at lattice-cell centers
+        // see exact distance ties between POIs the kNN heap reaches in a
+        // different order than the slab lists them. Probes: every edge and
+        // corner of the oracle grid, an ulp either side, r / 2r / 250 m /
+        // 10⁶ m in and out, ±1e300, ±∞ and NaN, every POI position and
+        // every lattice-cell center.
+        let (cluster, bounds) = two_cluster_set();
+        let mut all = cluster.pois().to_vec();
+        for (id, x) in [(20, 400.0), (21, 620.0)] {
+            all.push(Poi {
+                id,
+                point: Point::new(x, 515.0),
+                category: PoiCategory::Services,
+                name: format!("office {id}"),
+            });
+        }
+        let lattice = |i: u64| {
+            Point::new(
+                300.0 + (i % 24) as f64 * 10.0,
+                100.0 + (i / 24) as f64 * 10.0,
+            )
+        };
+        for i in 0..24 * 24 {
+            all.push(Poi {
+                id: 100 + i,
+                point: lattice(i),
+                category: PoiCategory::PersonLife,
+                name: format!("gym {i}"),
+            });
+        }
+        let pois = PoiSet::new(all);
+        let radius = 150.0;
+        let m = PoiObservationModel::new(&pois, bounds, 50.0, radius);
+        let mut scratch = FrozenNearestScratch::new();
+        let mut probes = crate::test_probes::edge_probes(m.lookup.bbox(), radius);
         probes.extend(pois.pois().iter().map(|p| p.point));
-        probes.push(Point::new(5_000.0, 5_000.0));
-        for (i, &p) in probes.iter().enumerate() {
+        probes.extend((0..24 * 24).map(|i| lattice(i).offset(5.0, 5.0)));
+        let (mut resolved, mut ties) = (0usize, 0usize);
+        for p in probes {
             for cat in [
                 PoiCategory::Feedings,
                 PoiCategory::ItemSale,
                 PoiCategory::Services,
+                PoiCategory::PersonLife,
             ] {
+                let want = m.nearest_of_category_via_heap(&pois, p, cat);
+                let got = m.nearest_of_category_with(&mut scratch, &pois, p, cat);
                 assert_eq!(
-                    with.nearest_of_category_with(&mut s1, &pois, p, cat)
-                        .map(|poi| poi.id),
-                    without
-                        .nearest_of_category_with(&mut s2, &pois, p, cat)
-                        .map(|poi| poi.id),
-                    "probe {i} cat {cat:?}"
+                    got.map(|poi| poi.id),
+                    want.map(|poi| poi.id),
+                    "probe {p:?} cat {cat:?}"
                 );
+                resolved += usize::from(want.is_some());
+                let in_reach: Vec<f64> = pois
+                    .pois()
+                    .iter()
+                    .filter(|poi| poi.category == cat)
+                    .map(|poi| poi.point.distance(p))
+                    .filter(|&d| d <= radius)
+                    .collect();
+                let best = in_reach.iter().copied().fold(f64::INFINITY, f64::min);
+                ties += usize::from(in_reach.iter().filter(|&&d| d == best).count() > 1);
             }
         }
+        assert!(resolved > 100, "probes must resolve real POIs");
+        assert!(ties > 0, "the mirrored pair must produce exact ties");
     }
 
     #[test]
@@ -554,20 +518,11 @@ mod tests {
             },
         ]);
         let p = Point::new(200.0, 200.0);
-        let with = PoiObservationModel::new(&pois, bounds, 50.0, 150.0);
-        let without = PoiObservationModel::with_modes(
-            &pois,
-            bounds,
-            50.0,
-            150.0,
-            IndexMode::Frozen,
-            OracleMode::Disabled,
-        );
+        let m = PoiObservationModel::new(&pois, bounds, 50.0, 150.0);
         assert_eq!(
-            with.nearest_of_category(&pois, p, PoiCategory::Feedings)
+            m.nearest_of_category(&pois, p, PoiCategory::Feedings)
                 .map(|poi| poi.id),
-            without
-                .nearest_of_category(&pois, p, PoiCategory::Feedings)
+            m.nearest_of_category_via_heap(&pois, p, PoiCategory::Feedings)
                 .map(|poi| poi.id),
         );
     }

@@ -176,10 +176,9 @@ impl<'c> StreamingAnnotator<'c> {
     /// Builds a streaming annotator over a city's sources.
     ///
     /// Every spatial index (road segments, POIs) is built once here and
-    /// frozen into its flat read-optimized snapshot — the same backend
-    /// the batch pipeline defaults to — so a long-lived stream pays the
-    /// dynamic tree's pointer chasing zero times. The landuse join needs
-    /// no index: it addresses the raster by arithmetic.
+    /// frozen into its flat read-optimized snapshot plus cell oracle — the
+    /// same read path as the batch pipeline. The landuse join needs no
+    /// index: it addresses the raster by arithmetic.
     pub fn new(
         city: &City,
         policy: VelocityPolicy,

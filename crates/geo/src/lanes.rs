@@ -1,11 +1,10 @@
 //! Fixed-width lane-wise kernels for the hot annotation loops.
 //!
 //! The map-matching layer evaluates the paper's Equation (1) point–segment
-//! distance once per candidate per GPS fix, and the Equation (4) kernel
-//! weight `exp(-d²/2σ²)` once per neighbor pair. Both loops are pure
-//! element-wise arithmetic, so instead of calling [`Segment`] methods one
-//! candidate at a time this module restructures them into fixed-width
-//! chunked passes over structure-of-arrays coordinate lanes: each 8-wide
+//! distance once per candidate per GPS fix. The loop is pure element-wise
+//! arithmetic, so instead of calling [`Segment`] methods one candidate at
+//! a time this module restructures it into fixed-width chunked passes
+//! over structure-of-arrays coordinate lanes: each 8-wide
 //! chunk is a `[f64; 8]` subslice processed by a branchless body that the
 //! stable-Rust autovectorizer can lower to packed SIMD, with a scalar
 //! remainder tail.
@@ -20,11 +19,6 @@
 //! bit-identity against [`Segment::distance_to_point`] /
 //! [`Segment::distance_sq_to_point`] across chunk widths, slab lengths and
 //! remainder tails.
-//!
-//! Where reassociation or a faster `exp` *does* pay, the deviation is gated
-//! behind [`KernelMode::Fast`], which is opt-in ([`KernelMode::Exact`] is
-//! the default) and carries a documented relative tolerance
-//! ([`EXP_FAST_REL_TOL`]).
 
 use crate::point::Point;
 use crate::segment::Segment;
@@ -33,140 +27,6 @@ use crate::segment::Segment;
 /// AVX2 registers, and a comfortable unroll for SSE2. The width is a
 /// compile-time constant so LLVM sees fixed-trip-count inner loops.
 pub const LANES: usize = 8;
-
-/// Selects how the Equation (4) kernel weights `exp(-d²/2σ²)` are
-/// evaluated.
-///
-/// * [`KernelMode::Exact`] (default) calls the libm-correct [`f64::exp`]
-///   per lane — bit-identical to the scalar matcher and to
-///   `match_records_naive`.
-/// * [`KernelMode::Fast`] uses the branchless polynomial [`exp_fast`],
-///   which vectorizes but deviates from [`f64::exp`] by at most
-///   [`EXP_FAST_REL_TOL`] relative error. Candidate *identity* never
-///   changes (distances and the radius cut stay exact); only the weights,
-///   and therefore tie-breaks between near-equal scores, can move within
-///   the tolerance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Bit-identical weights via [`f64::exp`] (the default).
-    #[default]
-    Exact,
-    /// Vectorizable polynomial weights within [`EXP_FAST_REL_TOL`].
-    Fast,
-}
-
-/// Maximum relative error of [`exp_fast`] against [`f64::exp`] over the
-/// kernel-weight domain `x ∈ [-708, 0]`.
-///
-/// Error budget: rounding `x·log₂e` once costs up to `|x|·log₂e` ulps
-/// carried into the reduced argument (≤ 1.1e-13 relative at the `-708`
-/// clamp edge, proportionally less for the small `|x|` the Equation-4
-/// weights actually produce), the degree-10 Taylor truncation on
-/// `|r| ≤ ln2/2` adds ≤ 3.1e-13, and the Horner-chain rounding is in the
-/// low 1e-15s — comfortably inside 5e-13 with margin. The property test
-/// `exp_fast_within_tolerance` sweeps the domain and asserts the bound.
-pub const EXP_FAST_REL_TOL: f64 = 5e-13;
-
-/// Branchless `eˣ` suitable for autovectorization.
-///
-/// Classical base-2 evaluation: `x` is clamped to `[-708, 708]`, the
-/// base-2 exponent `y = x·log₂e` is split as `y = n + f` with
-/// `n = round(y)` and `|f| ≤ ½` (the split subtraction is exact, so the
-/// only reduction error is the one rounding of `x·log₂e` itself), `eʳ`
-/// with `r = f·ln2` is a degree-10 Horner polynomial, and the `2ⁿ` scale
-/// is assembled by exponent-field bit manipulation. Every step is a
-/// select or straight-line arithmetic — no table loads, no branches, and
-/// (crucially for the x86-64 SSE2 baseline, which has no packed `round`
-/// or packed `f64→i64` conversion) no libm `round()` call and no
-/// float→int cast: rounding rides the "shifter" trick of adding and
-/// subtracting `1.5·2⁵²`, which leaves the rounded integer both as an
-/// exact f64 and in the low mantissa bits of the shifted sum — so LLVM
-/// can lower an 8-wide chunk of calls to packed SIMD.
-///
-/// Accuracy: within [`EXP_FAST_REL_TOL`] of [`f64::exp`] on `[-708, 0]`
-/// (the Equation-4 weight domain; weights take `x = -d²/2σ² ≤ 0`). NaN
-/// propagates; inputs below `-708` clamp to `exp(-708) ≈ 3e-308` rather
-/// than flushing through the subnormal range.
-#[inline]
-#[must_use]
-pub fn exp_fast(x: f64) -> f64 {
-    // 1.5·2⁵²: adding it pushes x·log₂e into the range where f64 spacing
-    // is exactly 1, so the FPU's round-to-nearest does the rounding;
-    // subtracting it back recovers the rounded value exactly.
-    const SHIFTER: f64 = 6_755_399_441_055_744.0;
-    let x = x.clamp(-708.0, 708.0);
-    let y = x * std::f64::consts::LOG2_E;
-    let j = y + SHIFTER;
-    let n = j - SHIFTER;
-    // Exact by Sterbenz (n is within a factor of two of y), so no
-    // two-part Cody–Waite chain is needed: the only reduction error is
-    // the rounding already inside `y`, which EXP_FAST_REL_TOL budgets.
-    let f = y - n;
-    let r = f * std::f64::consts::LN_2;
-    // e^r via Horner over 1/k!. |r| <= ln2/2 bounds the degree-10
-    // truncation by r¹¹/11!·e^{ln2/2} ≈ 3.1e-13 relative.
-    let p = 2.755_731_922_398_589e-7; // 1/10!
-    let p = p * r + 2.755_731_922_398_589_3e-6; // 1/9!
-    let p = p * r + 2.480_158_730_158_73e-5; // 1/8!
-    let p = p * r + 1.984_126_984_126_984e-4; // 1/7!
-    let p = p * r + 1.388_888_888_888_889e-3; // 1/6!
-    let p = p * r + 8.333_333_333_333_333e-3; // 1/5!
-    let p = p * r + 4.166_666_666_666_666_4e-2; // 1/4!
-    let p = p * r + 1.666_666_666_666_666_6e-1; // 1/3!
-    let p = p * r + 0.5;
-    let p = p * r + 1.0;
-    let p = p * r + 1.0;
-    // 2^n assembled in the exponent field. The low 52 mantissa bits of `j`
-    // hold `2⁵¹ + n` (n in [-1022, 1022] after the clamp, so no wrap and
-    // the biased exponent stays in (0, 2047) — always a normal number).
-    // Reading n back out of `j`'s bits avoids the f64→i64 conversion,
-    // which has no packed SSE2 form and would block vectorization.
-    const MANTISSA: u64 = (1 << 52) - 1;
-    let n_biased = (j.to_bits() & MANTISSA)
-        .wrapping_sub(1 << 51)
-        .wrapping_add(1023);
-    let scale = f64::from_bits(n_biased << 52);
-    p * scale
-}
-
-/// Evaluates the Equation (4) kernel weights `out[i] = exp(-d[i]²·k)` with
-/// `k = 1/2σ²`, in 8-wide chunks.
-///
-/// Under [`KernelMode::Exact`] the per-element expression is literally
-/// `(-d * d * inv_two_sigma_sq).exp()` — the same chain the scalar matcher
-/// and `match_records_naive` evaluate — so results are bit-identical.
-/// Under [`KernelMode::Fast`] the `exp` is [`exp_fast`] within
-/// [`EXP_FAST_REL_TOL`].
-///
-/// # Panics
-///
-/// Panics if `out.len() != d.len()`.
-pub fn weight_lanes(d: &[f64], inv_two_sigma_sq: f64, mode: KernelMode, out: &mut [f64]) {
-    assert_eq!(d.len(), out.len(), "weight_lanes length mismatch");
-    let chunks = d.len() / LANES * LANES;
-    for base in (0..chunks).step_by(LANES) {
-        let dc: &[f64; LANES] = d[base..base + LANES].try_into().unwrap();
-        let oc: &mut [f64; LANES] = (&mut out[base..base + LANES]).try_into().unwrap();
-        match mode {
-            KernelMode::Exact => {
-                for i in 0..LANES {
-                    oc[i] = (-dc[i] * dc[i] * inv_two_sigma_sq).exp();
-                }
-            }
-            KernelMode::Fast => {
-                for i in 0..LANES {
-                    oc[i] = exp_fast(-dc[i] * dc[i] * inv_two_sigma_sq);
-                }
-            }
-        }
-    }
-    for i in chunks..d.len() {
-        out[i] = match mode {
-            KernelMode::Exact => (-d[i] * d[i] * inv_two_sigma_sq).exp(),
-            KernelMode::Fast => exp_fast(-d[i] * d[i] * inv_two_sigma_sq),
-        };
-    }
-}
 
 /// A structure-of-arrays slab of segments, the input layout of the batched
 /// point–segment distance kernel.
@@ -364,34 +224,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weight_lanes_exact_matches_naive_expression() {
-        let d: Vec<f64> = (0..21).map(|i| i as f64 * 1.3).collect();
-        let k = 1.0 / (2.0 * 4.8 * 4.8);
-        let mut w = vec![0.0; d.len()];
-        weight_lanes(&d, k, KernelMode::Exact, &mut w);
-        for (i, &di) in d.iter().enumerate() {
-            let naive = (-di * di * k).exp();
-            assert_eq!(w[i].to_bits(), naive.to_bits(), "weight {i}");
-        }
-    }
-
-    #[test]
-    fn exp_fast_spot_checks() {
-        for &x in &[0.0f64, -1.0, -0.5, -10.0, -100.0, -700.0, -0.001] {
-            let exact = x.exp();
-            let fast = exp_fast(x);
-            assert!(
-                (fast - exact).abs() <= EXP_FAST_REL_TOL * exact,
-                "x={x}: fast={fast:e} exact={exact:e}"
-            );
-        }
-        assert_eq!(exp_fast(0.0), 1.0);
-        assert!(exp_fast(f64::NAN).is_nan());
-        // below the clamp: pinned at exp(-708), never subnormal-flushed
-        assert!(exp_fast(-1.0e9) > 0.0);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -428,43 +260,6 @@ mod tests {
             check_width!(4);
             check_width!(8);
             check_width!(16);
-        }
-
-        /// `KernelMode::Fast` weights stay within the documented tolerance
-        /// of the exact weights over the full kernel domain.
-        #[test]
-        fn exp_fast_within_tolerance(x in -708.0f64..0.0) {
-            let exact = x.exp();
-            let fast = exp_fast(x);
-            prop_assert!(
-                (fast - exact).abs() <= EXP_FAST_REL_TOL * exact,
-                "x={} fast={:e} exact={:e}", x, fast, exact
-            );
-        }
-
-        /// Fast-mode weight rows deviate from exact rows by at most the
-        /// documented relative tolerance, element-wise, plus the
-        /// `exp(-708)` absolute floor in the clamp region (inputs below
-        /// -708 clamp instead of underflowing — both weights are zero for
-        /// all scoring purposes there).
-        #[test]
-        fn fast_weight_rows_bounded(
-            d in proptest::collection::vec(0.0f64..500.0, 0..40),
-            sigma in 0.5f64..60.0,
-        ) {
-            let k = 1.0 / (2.0 * sigma * sigma);
-            let floor = exp_fast(-708.0); // the clamp output itself
-            let mut exact = vec![0.0; d.len()];
-            let mut fast = vec![0.0; d.len()];
-            weight_lanes(&d, k, KernelMode::Exact, &mut exact);
-            weight_lanes(&d, k, KernelMode::Fast, &mut fast);
-            for i in 0..d.len() {
-                prop_assert!(
-                    (fast[i] - exact[i]).abs() <= EXP_FAST_REL_TOL * exact[i] + floor,
-                    "d={} k={} x={} exact={:e} fast={:e}",
-                    d[i], k, -d[i] * d[i] * k, exact[i], fast[i]
-                );
-            }
         }
     }
 }

@@ -34,7 +34,7 @@ pub mod rect;
 pub mod segment;
 pub mod time;
 
-pub use lanes::{exp_fast, weight_lanes, KernelMode, SegmentLanes, EXP_FAST_REL_TOL, LANES};
+pub use lanes::{SegmentLanes, LANES};
 pub use point::{GeoPoint, Point};
 pub use polygon::Polygon;
 pub use polyline::Polyline;

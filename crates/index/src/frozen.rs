@@ -29,7 +29,8 @@
 //! distance-only comparator, so equal-distance ties break the same way.
 //! The property suite in `tests/properties.rs` asserts both identities
 //! against the dynamic tree, which is what lets every annotation layer
-//! switch backends without changing a single output byte.
+//! read the snapshot in place of the tree it was built from without
+//! changing a single output byte.
 
 use crate::rstar::{Node, RStarTree};
 use semitri_geo::{Point, Rect};
@@ -81,20 +82,6 @@ fn intersect_mask8(
         my |= (hit as u8) << i;
     }
     mx & my
-}
-
-/// Which R\*-tree backend a read path uses.
-///
-/// The pipeline's indexes are write-once/read-millions, so the frozen
-/// snapshot is the default everywhere; the dynamic backend is retained
-/// for incremental workloads and as the identity oracle in tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexMode {
-    /// Freeze each index into its flat snapshot after building (default).
-    #[default]
-    Frozen,
-    /// Query the pointer-based dynamic tree directly.
-    Dynamic,
 }
 
 /// A reusable traversal stack for [`FrozenRStarTree::for_each_in_with`].
@@ -582,8 +569,11 @@ impl<T> FrozenRStarTree<T> {
                     if self.leaf[n] {
                         for (i, t) in self.items[s..e].iter().enumerate() {
                             let exact = dist(t);
+                            // a NaN query point has no lower bound to dominate
                             debug_assert!(
-                                exact + 1e-9 >= self.entry_rects[s + i].distance_to_point(p),
+                                p.x.is_nan()
+                                    || p.y.is_nan()
+                                    || exact + 1e-9 >= self.entry_rects[s + i].distance_to_point(p),
                                 "dist() must dominate the bbox lower bound"
                             );
                             heap.push(FrozenHeapEntry {

@@ -1,19 +1,20 @@
 //! Generation-swapped snapshots: `Arc` double-buffering for live updates.
 //!
-//! The frozen indexes ([`FrozenRStarTree`], [`CellOracle`]) are immutable
-//! by design — that is what makes them fast and shareable across worker
-//! threads without locks. A long-running service, however, must absorb
-//! road edits, new POIs and landuse revisions while annotating. This
-//! module supplies the missing piece: a **generation handle** that lets a
-//! background rebuild freeze generation `N+1` while readers keep
-//! annotating against generation `N`, then swap the two atomically.
+//! The frozen indexes ([`FrozenRStarTree`](crate::FrozenRStarTree),
+//! [`CellOracle`](crate::CellOracle)) are immutable by design — that is
+//! what makes them fast and shareable across worker threads without
+//! locks. A long-running service, however, must absorb road edits, new
+//! POIs and landuse revisions while annotating. This module supplies the
+//! missing piece: a **generation handle** that lets a background rebuild
+//! freeze generation `N+1` while readers keep annotating against
+//! generation `N`, then swap the two atomically.
 //!
 //! The protocol:
 //!
 //! 1. Mutations accumulate in a side log owned by the layer above (see
 //!    `LiveSeMiTri` in `semitri-core`); readers never see them directly.
 //! 2. A rebuild materializes a complete new snapshot — frozen trees *and*
-//!    the per-generation [`CellOracle`] arenas — off to the side.
+//!    the per-generation oracle arenas — off to the side.
 //! 3. [`GenerationHandle::publish`] swaps the new snapshot in behind a
 //!    short write lock. Readers that already [pinned](GenerationHandle::pin)
 //!    generation `N` keep their `Arc` and finish on it; every later pin
@@ -27,8 +28,6 @@
 //! never while annotating — so publishing does not pause annotation.
 
 use std::sync::{Arc, Mutex, RwLock};
-
-use crate::{CellOracle, FrozenRStarTree, OracleMode, RStarTree};
 
 /// Monotonic identifier of one published snapshot generation. Generation 0
 /// is the snapshot the handle was created with.
@@ -131,61 +130,9 @@ impl<S> GenerationHandle<S> {
     }
 }
 
-/// A bundled frozen read path for one item set: the flat R\*-tree snapshot
-/// plus its per-cell [`CellOracle`] arena, built together so they are
-/// guaranteed to describe the same world. One generation of the matcher's
-/// segment index is exactly one `SnapshotSet<SegmentId>`.
-#[derive(Debug, Clone)]
-pub struct SnapshotSet<T: Copy> {
-    tree: Box<FrozenRStarTree<T>>,
-    oracle: Option<CellOracle<T>>,
-}
-
-impl<T: Copy> SnapshotSet<T> {
-    /// Freezes `tree` and materializes the oracle arena over it.
-    ///
-    /// `cell_size` and `query_radius` parameterize the oracle grid exactly
-    /// as [`CellOracle::build`] does; [`OracleMode::Disabled`] skips the
-    /// arena (queries walk the frozen tree instead).
-    pub fn build(tree: &RStarTree<T>, cell_size: f64, query_radius: f64, mode: OracleMode) -> Self {
-        let frozen = Box::new(tree.clone().freeze());
-        let oracle = match mode {
-            OracleMode::Precomputed { margin_m } => Some(CellOracle::build(
-                &frozen,
-                cell_size,
-                query_radius,
-                margin_m,
-            )),
-            OracleMode::Disabled => None,
-        };
-        Self {
-            tree: frozen,
-            oracle,
-        }
-    }
-
-    /// The frozen tree snapshot.
-    #[inline]
-    pub fn tree(&self) -> &FrozenRStarTree<T> {
-        &self.tree
-    }
-
-    /// The frozen tree, boxed (for callers that embed it).
-    pub fn into_parts(self) -> (Box<FrozenRStarTree<T>>, Option<CellOracle<T>>) {
-        (self.tree, self.oracle)
-    }
-
-    /// The per-cell candidate oracle, when enabled.
-    #[inline]
-    pub fn oracle(&self) -> Option<&CellOracle<T>> {
-        self.oracle.as_ref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semitri_geo::Rect;
 
     #[test]
     fn pins_survive_publishes_and_memory_stays_bounded() {
@@ -242,29 +189,5 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(handle.current_id(), GenerationId(100));
-    }
-
-    #[test]
-    fn snapshot_set_bundles_tree_and_oracle() {
-        let items: Vec<(Rect, u32)> = (0..50)
-            .map(|i| {
-                let x = (i % 10) as f64 * 100.0;
-                let y = (i / 10) as f64 * 100.0;
-                (Rect::new(x, y, x + 40.0, y + 40.0), i)
-            })
-            .collect();
-        let tree = RStarTree::bulk_load(items);
-        let with = SnapshotSet::build(&tree, 20.0, 60.0, OracleMode::default());
-        assert!(with.oracle().is_some());
-        let without = SnapshotSet::build(&tree, 20.0, 60.0, OracleMode::Disabled);
-        assert!(without.oracle().is_none());
-        // both read paths see the same world
-        let q = Rect::new(0.0, 0.0, 250.0, 250.0);
-        let mut a = Vec::new();
-        with.tree().for_each_in(&q, |_, &v| a.push(v));
-        let mut b = Vec::new();
-        without.tree().for_each_in(&q, |_, &v| b.push(v));
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
     }
 }

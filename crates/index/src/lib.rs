@@ -24,7 +24,9 @@
 //!   arrays, contiguous leaf-entry slab) whose range and kNN results are
 //!   bit-identical — values *and* visit order — to the dynamic tree's.
 //!   The annotation pipeline builds each index once per city and reads it
-//!   millions of times, so [`IndexMode::Frozen`] is the default backend.
+//!   millions of times, so the frozen snapshot is its only read path.
+//! * [`CellOracle`] — per-grid-cell candidate slabs gathered from a frozen
+//!   tree at build time, so a fixed-radius query becomes a slab lookup.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +37,8 @@ pub mod grid;
 pub mod oracle;
 pub mod rstar;
 
-pub use frozen::{FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch, IndexMode};
-pub use generation::{Generation, GenerationHandle, GenerationId, SnapshotSet};
+pub use frozen::{FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch};
+pub use generation::{Generation, GenerationHandle, GenerationId};
 pub use grid::GridIndex;
-pub use oracle::{CellOracle, OracleMode, DEFAULT_ORACLE_MARGIN_M};
+pub use oracle::CellOracle;
 pub use rstar::{NearestScratch, RStarParams, RStarTree, RangeScratch};

@@ -2,11 +2,10 @@
 //!
 //! The annotation hot paths ask the segment/POI indexes the *same shape*
 //! of question millions of times: "every item whose box intersects a
-//! fixed-radius window around this point". PR 4's last-cell candidate
-//! cache showed that consecutive GPS fixes overwhelmingly reuse one grid
-//! cell's answer; [`CellOracle`] takes the next step and materializes the
-//! answer for **every** cell at build time, so the per-fix query becomes
-//! an O(1) slab lookup instead of a tree walk:
+//! fixed-radius window around this point". Consecutive GPS fixes
+//! overwhelmingly reuse one grid cell's answer, so [`CellOracle`]
+//! materializes the answer for **every** cell at build time and the
+//! per-fix query becomes an O(1) slab lookup instead of a tree walk:
 //!
 //! * a uniform grid is laid over the frozen tree's bounding box;
 //! * for each cell, the frozen tree is queried once with the cell's
@@ -26,49 +25,23 @@
 //! result-identical to the tree path; the unit tests and the core
 //! property suite assert it.
 //!
-//! **Clamped border cells.** Real feeds contain fixes outside the indexed
-//! area (GPS noise at the city edge, tracks leaving the map). A plain
-//! grid would clamp them into a border cell whose catchment was computed
-//! for in-bounds points only, silently dropping candidates the tree path
-//! would find. The oracle instead extends every border cell's catchment
-//! *outward* by a configurable margin and answers [`None`] for points
-//! beyond it — the caller falls back to the tree for those, keeping the
-//! identity contract exact everywhere.
+//! **Unbounded border cells.** Real feeds contain fixes outside the
+//! indexed area (GPS noise at the city edge, tracks leaving the map), so
+//! every border cell's catchment extends to `±∞` outward and [`locate`]
+//! clamps any non-NaN point into the grid. This adds no entry to any
+//! slab: every item's box lies inside the tree's bounding box, which the
+//! nominal grid covers. For a finite point clamped into a border cell,
+//! `p ± r` still lies inside that cell's catchment, so the identity
+//! argument above holds unchanged. For `±∞` the per-point window
+//! `[∞, ∞]` intersects no finite box, and neither path returns anything.
+//! NaN is the one point that locates nowhere — a NaN window intersects
+//! nothing either, so a reader loses nothing by treating [`None`] as
+//! "no candidates".
+//!
+//! [`locate`]: CellOracle::locate
 
 use crate::frozen::{FrozenRStarTree, FrozenRangeScratch};
 use semitri_geo::{Point, Rect};
-
-/// Margin (meters) beyond the indexed bounds within which the default
-/// oracle still answers; farther fixes fall back to the tree path.
-pub const DEFAULT_ORACLE_MARGIN_M: f64 = 250.0;
-
-/// Whether a read path precomputes its per-cell candidate oracle.
-///
-/// Sibling of [`IndexMode`](crate::IndexMode): the pipeline's indexes are
-/// write-once/read-millions, so precomputing is the default; disabling it
-/// keeps the pure frozen/dynamic tree path, which doubles as the identity
-/// oracle in tests and saves the arena memory on tiny deployments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OracleMode {
-    /// Materialize per-cell candidate slabs at build time (default).
-    /// Points up to `margin_m` meters outside the indexed bounds are
-    /// served by the (margin-inflated) border cells; farther points fall
-    /// back to the tree.
-    Precomputed {
-        /// Out-of-bounds catchment of the border cells, meters (≥ 0).
-        margin_m: f64,
-    },
-    /// No precomputation: every query walks the frozen/dynamic tree.
-    Disabled,
-}
-
-impl Default for OracleMode {
-    fn default() -> Self {
-        Self::Precomputed {
-            margin_m: DEFAULT_ORACLE_MARGIN_M,
-        }
-    }
-}
 
 /// The precomputed per-cell candidate arena. Build once next to the
 /// [`FrozenRStarTree`] it answers for, share freely across threads
@@ -81,12 +54,13 @@ impl Default for OracleMode {
 /// let mut tree = RStarTree::new();
 /// tree.insert(Rect::new(10.0, 10.0, 20.0, 20.0), 7u32);
 /// let frozen = tree.freeze();
-/// let oracle = CellOracle::build(&frozen, 50.0, 50.0, 100.0);
+/// let oracle = CellOracle::build(&frozen, 50.0, 50.0);
 /// let (rects, items) = oracle.candidates(Point::new(15.0, 15.0)).unwrap();
 /// assert_eq!(items, &[7]);
 /// assert_eq!(rects[0], Rect::new(10.0, 10.0, 20.0, 20.0));
-/// // far outside bounds + margin: the caller falls back to the tree
-/// assert!(oracle.candidates(Point::new(5_000.0, 5_000.0)).is_none());
+/// // far outside the bounds: clamped into a border cell, still answered
+/// assert!(oracle.candidates(Point::new(5_000.0, 5_000.0)).is_some());
+/// assert!(oracle.candidates(Point::new(f64::NAN, 5.0)).is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CellOracle<T> {
@@ -96,8 +70,6 @@ pub struct CellOracle<T> {
     cell_size: f64,
     /// Query radius the catchment windows were inflated by.
     query_radius: f64,
-    /// Out-of-bounds acceptance margin of the border cells.
-    margin: f64,
     nx: usize,
     ny: usize,
     /// CSR offsets into the slabs, `nx * ny + 1` entries (row-major
@@ -117,21 +89,14 @@ impl<T: Copy> CellOracle<T> {
     /// `cell_size` is the grid pitch, `query_radius` the per-point window
     /// radius the readers will filter with (each catchment window is the
     /// cell inflated by `query_radius · (1 + 1e-9)`, the same boundary
-    /// pad the matcher's cell cache uses), and `margin` the out-of-bounds
-    /// reach of the border cells.
+    /// pad that absorbs rounding in the clamped cell assignment).
     ///
     /// An empty tree yields an oracle that answers [`None`] everywhere.
     ///
     /// # Panics
-    /// Panics when `cell_size`/`query_radius` are not positive finite,
-    /// `margin` is negative or non-finite, or the arena would exceed
-    /// `u32::MAX` entries.
-    pub fn build(
-        tree: &FrozenRStarTree<T>,
-        cell_size: f64,
-        query_radius: f64,
-        margin: f64,
-    ) -> Self {
+    /// Panics when `cell_size`/`query_radius` are not positive finite, or
+    /// the arena would exceed `u32::MAX` entries.
+    pub fn build(tree: &FrozenRStarTree<T>, cell_size: f64, query_radius: f64) -> Self {
         assert!(
             cell_size > 0.0 && cell_size.is_finite(),
             "oracle cell size must be positive"
@@ -140,17 +105,12 @@ impl<T: Copy> CellOracle<T> {
             query_radius > 0.0 && query_radius.is_finite(),
             "oracle query radius must be positive"
         );
-        assert!(
-            margin >= 0.0 && margin.is_finite(),
-            "oracle margin must be non-negative"
-        );
         let bounds = tree.bbox();
         if tree.is_empty() || bounds.is_empty() {
             return Self {
                 bounds: Rect::EMPTY,
                 cell_size,
                 query_radius,
-                margin,
                 nx: 0,
                 ny: 0,
                 offsets: vec![0],
@@ -164,45 +124,81 @@ impl<T: Copy> CellOracle<T> {
         // clamped cell assignment, keeping catchment ⊇ window(p) exact for
         // every p the cell can be asked about
         let pad = query_radius * (1.0 + 1e-9);
+        // nominal cell rectangle, border cells extended outward to infinity
+        // so every clamped out-of-bounds point stays covered, inflated by
+        // the pad
+        let catchment = |col: usize, row: usize| {
+            let mut cat = Self::nominal_rect(bounds, cell_size, nx, ny, col, row);
+            if col == 0 {
+                cat.min_x = f64::NEG_INFINITY;
+            }
+            if col + 1 == nx {
+                cat.max_x = f64::INFINITY;
+            }
+            if row == 0 {
+                cat.min_y = f64::NEG_INFINITY;
+            }
+            if row + 1 == ny {
+                cat.max_y = f64::INFINITY;
+            }
+            cat.inflate(pad)
+        };
+        // Size the slabs exactly before filling them, so each is one
+        // allocation (growing by doubling left every outgrown buffer behind
+        // in the heap, once per live publish). A catchment is a product of
+        // an x interval that depends only on the column and a y interval
+        // that depends only on the row, so an item's slot count is the
+        // columns its x extent meets times the rows its y extent meets.
+        // Only cells within `pad` of the item can qualify; a spare column
+        // and row on each side absorb rounding.
+        let near = |lo: f64, hi: f64, min: f64, n: usize| {
+            let last = (n - 1) as f64;
+            let first = (((lo - pad - min) / cell_size).floor() - 1.0).clamp(0.0, last);
+            let end = (((hi + pad - min) / cell_size).floor() + 1.0).clamp(0.0, last);
+            first as usize..=end as usize
+        };
+        let mut stack = FrozenRangeScratch::new();
+        let mut slots = 0usize;
+        tree.for_each_in_with(&mut stack, &bounds, |r, _| {
+            if r.is_empty() {
+                return;
+            }
+            let cols = near(r.min_x, r.max_x, bounds.min_x, nx)
+                .filter(|&col| {
+                    let c = catchment(col, 0);
+                    r.min_x <= c.max_x && c.min_x <= r.max_x
+                })
+                .count();
+            let rows = near(r.min_y, r.max_y, bounds.min_y, ny)
+                .filter(|&row| {
+                    let c = catchment(0, row);
+                    r.min_y <= c.max_y && c.min_y <= r.max_y
+                })
+                .count();
+            slots += cols * rows;
+        });
+        assert!(
+            slots <= u32::MAX as usize,
+            "oracle arena exceeds u32 offsets"
+        );
         let mut offsets = Vec::with_capacity(nx * ny + 1);
         offsets.push(0u32);
-        let mut rects = Vec::new();
-        let mut items = Vec::new();
-        let mut stack = FrozenRangeScratch::new();
+        let mut rects = Vec::with_capacity(slots);
+        let mut items = Vec::with_capacity(slots);
         for row in 0..ny {
             for col in 0..nx {
-                // nominal cell rectangle, border cells extended outward by
-                // the margin so clamped out-of-bounds points stay covered
-                let mut cat = Self::nominal_rect(bounds, cell_size, nx, ny, col, row);
-                if col == 0 {
-                    cat.min_x -= margin;
-                }
-                if col + 1 == nx {
-                    cat.max_x += margin;
-                }
-                if row == 0 {
-                    cat.min_y -= margin;
-                }
-                if row + 1 == ny {
-                    cat.max_y += margin;
-                }
-                let window = cat.inflate(pad);
-                tree.for_each_in_with(&mut stack, &window, |r, t| {
+                tree.for_each_in_with(&mut stack, &catchment(col, row), |r, t| {
                     rects.push(*r);
                     items.push(*t);
                 });
-                assert!(
-                    items.len() <= u32::MAX as usize,
-                    "oracle arena exceeds u32 offsets"
-                );
                 offsets.push(items.len() as u32);
             }
         }
+        assert_eq!(items.len(), slots, "slab count diverged from the fill");
         Self {
             bounds,
             cell_size,
             query_radius,
-            margin,
             nx,
             ny,
             offsets,
@@ -231,24 +227,16 @@ impl<T: Copy> CellOracle<T> {
         )
     }
 
-    /// The row-major index of the cell serving `p`, or [`None`] when the
-    /// oracle cannot answer: the point lies beyond `bounds + margin`, is
-    /// non-finite, or the oracle is empty. Out-of-bounds points within
-    /// the margin clamp into the border cells (whose catchments were
-    /// built to cover them); a point exactly on `bounds.max_x/max_y`
-    /// floors to index `nx`/`ny` and relies on the same clamp.
+    /// The row-major index of the cell serving `p`, or [`None`] when `p`
+    /// has a NaN coordinate or the oracle is empty. Every other point —
+    /// `±∞` included — clamps into the grid: out-of-bounds points land in
+    /// the border cells, whose catchments extend to infinity outward, and
+    /// a point exactly on `bounds.max_x/max_y` floors to index `nx`/`ny`
+    /// and relies on the same clamp.
     #[inline]
     pub fn locate(&self, p: Point) -> Option<usize> {
-        if self.nx == 0 {
-            return None;
-        }
-        // written so NaN fails: the tree path is the only one that can
-        // reproduce the tree's NaN-window semantics
-        let in_reach = p.x >= self.bounds.min_x - self.margin
-            && p.x <= self.bounds.max_x + self.margin
-            && p.y >= self.bounds.min_y - self.margin
-            && p.y <= self.bounds.max_y + self.margin;
-        if !in_reach {
+        // the clamp below would send NaN to cell 0 (`NaN.max(0.0)` is 0)
+        if self.nx == 0 || p.x.is_nan() || p.y.is_nan() {
             return None;
         }
         let cx = ((p.x - self.bounds.min_x) / self.cell_size).floor();
@@ -289,8 +277,8 @@ impl<T: Copy> CellOracle<T> {
     /// The candidate list serving `p`: every item of the frozen tree
     /// whose box intersects `p ± query_radius` is in the returned slices
     /// (a superset, in tree visit order — filter with the per-point
-    /// window to reproduce a direct query exactly). [`None`] means the
-    /// point is beyond the precompute margin: fall back to the tree.
+    /// window to reproduce a direct query exactly). [`None`] only for a NaN
+    /// point or an empty oracle, where a direct query finds nothing too.
     #[inline]
     pub fn candidates(&self, p: Point) -> Option<(&[Rect], &[T])> {
         let cell = self.locate(p)?;
@@ -312,11 +300,6 @@ impl<T: Copy> CellOracle<T> {
     /// Query radius the oracle was built for.
     pub fn query_radius(&self) -> f64 {
         self.query_radius
-    }
-
-    /// Out-of-bounds acceptance margin.
-    pub fn margin(&self) -> f64 {
-        self.margin
     }
 
     /// Heap bytes of the arena (CSR offsets + both slabs) — the memory
@@ -391,12 +374,12 @@ mod tests {
     fn freeze_order_identity_on_random_probes() {
         let tree = random_frozen(0xF00D, 700);
         for &radius in &[20.0, 60.0, 130.0] {
-            let oracle = CellOracle::build(&tree, radius, radius, 200.0);
+            let oracle = CellOracle::build(&tree, radius, radius);
             let mut next = lcg(0xCAFE);
             let mut nonempty = 0usize;
             for _ in 0..300 {
                 let p = Point::new(next() * 1_000.0 - 50.0, next() * 700.0 - 50.0);
-                let got = filtered(&oracle, p, radius).expect("within margin");
+                let got = filtered(&oracle, p, radius).expect("finite probe");
                 let want = tree_query(&tree, p, radius);
                 assert_eq!(got, want, "probe {p:?} radius {radius}");
                 nonempty += usize::from(!want.is_empty());
@@ -408,7 +391,7 @@ mod tests {
     #[test]
     fn cell_size_decoupled_from_query_radius_stays_identical() {
         let tree = random_frozen(0xA11CE, 400);
-        let oracle = CellOracle::build(&tree, 37.0, 80.0, 50.0);
+        let oracle = CellOracle::build(&tree, 37.0, 80.0);
         let mut next = lcg(7);
         for _ in 0..200 {
             let p = Point::new(next() * 950.0, next() * 650.0);
@@ -419,49 +402,69 @@ mod tests {
         }
     }
 
+    /// The next representable `f64` above `x` (`±∞` and NaN map to
+    /// themselves).
+    fn next_up(x: f64) -> f64 {
+        if x.is_nan() || x == f64::INFINITY {
+            x
+        } else if x == 0.0 {
+            f64::from_bits(1)
+        } else if x > 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    /// Probe coordinates along one axis of `[lo, hi]`: NaN, `±∞`,
+    /// `±1e300`, both edges and the middle, and `edge ± {r, 2r, 250 m,
+    /// 10⁶ m}` — each finite value also one ulp either side.
+    fn axis_probes(lo: f64, hi: f64, r: f64) -> Vec<f64> {
+        let mut base = vec![lo, hi, (lo + hi) * 0.5];
+        for d in [r, 2.0 * r, 250.0, 1e6] {
+            base.extend([lo - d, lo + d, hi - d, hi + d]);
+        }
+        let mut out = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+        for x in base {
+            out.extend([-next_up(-x), x, next_up(x)]);
+        }
+        out
+    }
+
     #[test]
     fn border_clamping_covers_out_of_bounds_fixes() {
-        // Regression (grid border clamping): fixes beyond bounds.max_x /
-        // max_y clamp into the last row/column, whose catchments must have
-        // been inflated by the margin — otherwise the oracle silently
-        // drops candidates the tree finds near the border.
+        // Every non-NaN point clamps into the grid, and the filtered slab
+        // equals a direct tree query everywhere: on every edge and corner
+        // (a point exactly on max_x/max_y floors to index nx/ny and relies
+        // on the clamp), just inside and outside them, a million meters
+        // out, at ±1e300 and at ±∞. NaN locates nowhere, and the tree
+        // finds nothing for it either.
         let tree = random_frozen(0xB0DE, 500);
         let b = tree.bbox();
-        let (r, margin) = (60.0, 150.0);
-        let oracle = CellOracle::build(&tree, r, r, margin);
-        let probes = [
-            // exactly on the max corner: floor((max - min) / cell) lands
-            // at index nx and relies on the clamp
-            Point::new(b.max_x, b.max_y),
-            Point::new(b.max_x, b.min_y),
-            Point::new(b.min_x, b.max_y),
-            // beyond every side, within the margin
-            Point::new(b.max_x + margin * 0.99, b.max_y * 0.5),
-            Point::new(b.min_x - margin * 0.99, b.max_y * 0.5),
-            Point::new(b.max_x * 0.5, b.max_y + margin * 0.99),
-            Point::new(b.max_x * 0.5, b.min_y - margin * 0.99),
-            // the far corner of the margin halo
-            Point::new(b.max_x + margin, b.max_y + margin),
-        ];
+        let r = 60.0;
+        let oracle = CellOracle::build(&tree, r, r);
         let mut hits = 0usize;
-        for p in probes {
-            let got = filtered(&oracle, p, r).expect("within margin");
-            let want = tree_query(&tree, p, r);
-            assert_eq!(got, want, "probe {p:?}");
-            hits += usize::from(!want.is_empty());
+        for &x in &axis_probes(b.min_x, b.max_x, r) {
+            for &y in &axis_probes(b.min_y, b.max_y, r) {
+                let p = Point::new(x, y);
+                let want = tree_query(&tree, p, r);
+                match filtered(&oracle, p, r) {
+                    Some(got) => assert_eq!(got, want, "probe {p:?}"),
+                    None => {
+                        assert!(x.is_nan() || y.is_nan(), "finite probe {p:?} refused");
+                        assert!(want.is_empty(), "NaN probe {p:?} found items");
+                    }
+                }
+                hits += usize::from(!want.is_empty());
+            }
         }
         assert!(hits > 0, "border probes must reach real candidates");
-        // beyond the margin the oracle refuses and the caller falls back
-        assert!(oracle
-            .candidates(Point::new(b.max_x + margin * 1.01, b.max_y))
-            .is_none());
-        assert!(oracle.candidates(Point::new(f64::NAN, 100.0)).is_none());
     }
 
     #[test]
     fn hint_rect_serves_the_same_slab() {
         let tree = random_frozen(0x51DE, 300);
-        let oracle = CellOracle::build(&tree, 45.0, 45.0, 0.0);
+        let oracle = CellOracle::build(&tree, 45.0, 45.0);
         let mut next = lcg(99);
         for _ in 0..200 {
             let p = Point::new(next() * 900.0, next() * 600.0);
@@ -484,7 +487,7 @@ mod tests {
     #[test]
     fn empty_tree_answers_none_everywhere() {
         let tree: FrozenRStarTree<usize> = RStarTree::new().freeze();
-        let oracle = CellOracle::build(&tree, 10.0, 10.0, 100.0);
+        let oracle = CellOracle::build(&tree, 10.0, 10.0);
         assert!(oracle.candidates(Point::ORIGIN).is_none());
         assert_eq!(oracle.cell_count(), 0);
         assert_eq!(oracle.slot_count(), 0);
@@ -495,22 +498,12 @@ mod tests {
     #[test]
     fn memory_report_is_consistent() {
         let tree = random_frozen(3, 250);
-        let oracle = CellOracle::build(&tree, 60.0, 60.0, 100.0);
+        let oracle = CellOracle::build(&tree, 60.0, 60.0);
         assert!(oracle.cell_count() > 0);
         assert!(oracle.slot_count() >= tree.len());
         let expected = oracle.offsets.len() * 4
             + oracle.slot_count() * (std::mem::size_of::<Rect>() + std::mem::size_of::<usize>());
         assert_eq!(oracle.arena_bytes(), expected);
         assert!(oracle.bytes_per_cell() > 0.0);
-    }
-
-    #[test]
-    fn default_mode_is_precomputed_with_the_documented_margin() {
-        match OracleMode::default() {
-            OracleMode::Precomputed { margin_m } => {
-                assert_eq!(margin_m, DEFAULT_ORACLE_MARGIN_M)
-            }
-            OracleMode::Disabled => panic!("default must precompute"),
-        }
     }
 }

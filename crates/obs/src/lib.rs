@@ -36,7 +36,7 @@
 //!   arithmetic and extends a same-cell run with four comparisons; one
 //!   label per category is formatted at build time, never per record.
 //! * **Line** — map matching threads a `MatchScratch` arena (candidate
-//!   buffers, epoch-stamped slot map, kernel-weight rows, cell cache)
+//!   buffers, epoch-stamped slot map, kernel-weight rows, oracle hint)
 //!   through every episode; per-fix work is pure arithmetic over those
 //!   buffers.
 //! * **Point** — POI grid lookups are closure-based with no temporary

@@ -6,7 +6,7 @@
 //! and answers queries against it.
 //!
 //! ```text
-//! semitri-cli generate <taxis|milan|phones> <store.stlog> [seed] [days] [--threads N] [--metrics] [--faults SPEC] [--dynamic-index]
+//! semitri-cli generate <taxis|milan|phones> <store.stlog> [seed] [days] [--threads N] [--metrics] [--faults SPEC]
 //! semitri-cli raster <taxis|milan|phones> [seed] [days] [--cell M] [--threads N] [--top K]
 //! semitri-cli serve <taxis|milan|phones> [addr] [seed] [--workers N] [--store <store.stlog>]
 //! semitri-cli annotate <taxis|milan|phones> [seed]       (feed JSON lines on stdin)
@@ -33,13 +33,11 @@ use std::sync::atomic::AtomicBool;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  semitri-cli generate <taxis|milan|phones> <store.stlog> [seed] [days] [--threads N] [--metrics] [--faults SPEC] [--dynamic-index] [--no-oracle]\n    \
-         (SPEC: comma-separated faults, e.g. dropout=0.1,noise=25,teleport=3,dup=0.05,conflict=0.02,swap=0.05,stuck=0.03,nan=0.01,resample=5;\n     \
-         --dynamic-index queries the pointer-based R*-trees instead of the frozen snapshots — same output, oracle/debug use;\n     \
-         --no-oracle skips the precomputed per-cell candidate slabs and walks the trees per query — same output, saves the arena memory)\n  \
+        "usage:\n  semitri-cli generate <taxis|milan|phones> <store.stlog> [seed] [days] [--threads N] [--metrics] [--faults SPEC]\n    \
+         (SPEC: comma-separated faults, e.g. dropout=0.1,noise=25,teleport=3,dup=0.05,conflict=0.02,swap=0.05,stuck=0.03,nan=0.01,resample=5)\n  \
          semitri-cli raster <taxis|milan|phones> [seed] [days] [--cell M] [--threads N] [--top K]\n    \
          (annotates the preset fleet and burns it into per-mode / per-road-class / per-landuse density grids)\n  \
-         semitri-cli serve <taxis|milan|phones> [addr] [seed] [--workers N] [--no-oracle] [--store <store.stlog>]\n  \
+         semitri-cli serve <taxis|milan|phones> [addr] [seed] [--workers N] [--store <store.stlog>]\n  \
          semitri-cli annotate <taxis|milan|phones> [seed]   (feed JSON lines on stdin)\n  \
          semitri-cli info <store.stlog>\n  semitri-cli objects <store.stlog>\n  \
          semitri-cli show <store.stlog> <trajectory_id>\n  \
@@ -138,10 +136,11 @@ fn preset_city(preset: &str, seed: u64) -> Result<(City, bool, VelocityPolicy), 
 /// The pipeline configuration of a preset. `serve` hands this to the
 /// server as a *factory* (generation rebuilds construct a fresh config
 /// per publish — the boxed segmentation policy is not `Clone`), and
-/// `annotate` calls it once; both paths produce identical configs, so a
-/// served `/annotate` response is byte-identical to the CLI output.
-fn preset_config(vehicle: bool, oracle_mode: OracleMode) -> PipelineConfig {
-    let mut config = if vehicle {
+/// `annotate`, `generate` and `raster` call it once; all paths produce
+/// identical configs, so a served `/annotate` response is byte-identical
+/// to the CLI output.
+fn preset_config(vehicle: bool) -> PipelineConfig {
+    if vehicle {
         PipelineConfig {
             mode: ModeInferencer {
                 allow_car: true,
@@ -152,11 +151,7 @@ fn preset_config(vehicle: bool, oracle_mode: OracleMode) -> PipelineConfig {
         }
     } else {
         PipelineConfig::default()
-    };
-    // the oracle is a pure query-plan change — `/annotate` responses stay
-    // byte-identical to `semitri-cli annotate` either way
-    config.oracle_mode = oracle_mode;
-    config
+    }
 }
 
 /// `semitri-cli serve`: stand up the annotation server and block.
@@ -165,7 +160,6 @@ fn serve(
     addr: &str,
     seed: u64,
     workers: Option<usize>,
-    oracle_mode: OracleMode,
     store_path: Option<&str>,
 ) -> Result<(), ExitCode> {
     let (city, vehicle, policy) = preset_city(preset, seed)?;
@@ -173,12 +167,7 @@ fn serve(
     if let Some(n) = workers {
         serve_config.workers = n;
     }
-    let mut server = Server::new(
-        city,
-        move || preset_config(vehicle, oracle_mode),
-        policy,
-        serve_config,
-    );
+    let mut server = Server::new(city, move || preset_config(vehicle), policy, serve_config);
     if let Some(path) = store_path {
         // write-through: every annotated feed is persisted columnar and
         // the store.* schema joins /metrics
@@ -211,7 +200,7 @@ fn serve(
 /// on it.
 fn annotate(preset: &str, seed: u64) -> Result<(), ExitCode> {
     let (city, vehicle, _) = preset_city(preset, seed)?;
-    let pipeline = SeMiTri::new(city, preset_config(vehicle, OracleMode::default()));
+    let pipeline = SeMiTri::new(city, preset_config(vehicle));
     let mut body = String::new();
     std::io::Read::read_to_string(&mut std::io::stdin(), &mut body).map_err(|e| {
         eprintln!("cannot read stdin: {e}");
@@ -235,8 +224,6 @@ struct GenerateOptions<'a> {
     threads: Option<usize>,
     metrics: bool,
     faults: Option<&'a str>,
-    index_mode: IndexMode,
-    oracle_mode: OracleMode,
 }
 
 fn generate(
@@ -250,8 +237,6 @@ fn generate(
         threads,
         metrics,
         faults,
-        index_mode,
-        oracle_mode,
     } = *opts;
     let (dataset, vehicle) = match preset {
         "taxis" => (lausanne_taxis(days, seed), true),
@@ -268,25 +253,7 @@ fn generate(
         dataset.tracks.len(),
         dataset.total_records()
     );
-    let config = if vehicle {
-        PipelineConfig {
-            mode: ModeInferencer {
-                allow_car: true,
-                ..ModeInferencer::default()
-            },
-            policy: Box::new(VelocityPolicy::vehicles()),
-            index_mode,
-            oracle_mode,
-            ..PipelineConfig::default()
-        }
-    } else {
-        PipelineConfig {
-            index_mode,
-            oracle_mode,
-            ..PipelineConfig::default()
-        }
-    };
-    let semitri = SeMiTri::new(&dataset.city, config);
+    let semitri = SeMiTri::new(&dataset.city, preset_config(vehicle));
     let store = open(path)?;
 
     // annotate the whole fleet over a shared worker pool
@@ -385,19 +352,7 @@ fn raster(
             return Err(ExitCode::from(2));
         }
     };
-    let config = if vehicle {
-        PipelineConfig {
-            mode: ModeInferencer {
-                allow_car: true,
-                ..ModeInferencer::default()
-            },
-            policy: Box::new(VelocityPolicy::vehicles()),
-            ..PipelineConfig::default()
-        }
-    } else {
-        PipelineConfig::default()
-    };
-    let semitri = SeMiTri::new(&dataset.city, config);
+    let semitri = SeMiTri::new(&dataset.city, preset_config(vehicle));
     let mut annotator = BatchAnnotator::new(&semitri);
     if let Some(n) = threads {
         annotator = annotator.with_threads(n);
@@ -484,17 +439,11 @@ fn run() -> Result<(), ExitCode> {
             let mut threads = None;
             let mut metrics = false;
             let mut faults = None;
-            let mut index_mode = IndexMode::Frozen;
-            let mut oracle_mode = OracleMode::default();
             let mut positional = Vec::new();
             let mut rest = it;
             while let Some(arg) = rest.next() {
                 if arg == "--metrics" {
                     metrics = true;
-                } else if arg == "--dynamic-index" {
-                    index_mode = IndexMode::Dynamic;
-                } else if arg == "--no-oracle" {
-                    oracle_mode = OracleMode::Disabled;
                 } else if arg == "--faults" {
                     let Some(spec) = rest.next() else {
                         eprintln!("--faults needs a spec (e.g. dropout=0.1,stuck=0.03)");
@@ -529,8 +478,6 @@ fn run() -> Result<(), ExitCode> {
                     threads,
                     metrics,
                     faults,
-                    index_mode,
-                    oracle_mode,
                 },
             )
         }
@@ -586,7 +533,6 @@ fn run() -> Result<(), ExitCode> {
                 return Err(usage());
             };
             let mut workers = None;
-            let mut oracle_mode = OracleMode::default();
             let mut store_path = None;
             let mut positional = Vec::new();
             let mut rest = it;
@@ -601,8 +547,6 @@ fn run() -> Result<(), ExitCode> {
                         return Err(ExitCode::from(2));
                     }
                     workers = Some(n);
-                } else if arg == "--no-oracle" {
-                    oracle_mode = OracleMode::Disabled;
                 } else if arg == "--store" {
                     let Some(path) = rest.next() else {
                         eprintln!("--store needs a log path");
@@ -615,7 +559,7 @@ fn run() -> Result<(), ExitCode> {
             }
             let addr = positional.first().copied().unwrap_or("127.0.0.1:8355");
             let seed = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(42);
-            serve(preset, addr, seed, workers, oracle_mode, store_path)
+            serve(preset, addr, seed, workers, store_path)
         }
         Some("annotate") => {
             let Some(preset) = it.next() else {

@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use semitri_index::{
         CellOracle, FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch, Generation,
-        GenerationHandle, GenerationId, GridIndex, IndexMode, NearestScratch, OracleMode,
-        RStarParams, RStarTree, RangeScratch, SnapshotSet, DEFAULT_ORACLE_MARGIN_M,
+        GenerationHandle, GenerationId, GridIndex, NearestScratch, RStarParams, RStarTree,
+        RangeScratch,
     };
     pub use semitri_obs::{
         CleaningReport, Counter, Gauge, Histogram, HistogramSnapshot, MetricsObserver,

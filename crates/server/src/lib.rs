@@ -324,9 +324,11 @@ impl Server {
     }
 
     /// `POST /admin/update`: queues map mutations and publishes them as
-    /// the next snapshot generation. The rebuild happens on this request
-    /// thread; annotation on the other workers keeps reading the old
-    /// generation until the final pointer swap.
+    /// the next snapshot generation. The batch is checked as a whole
+    /// before any line is queued, so a 422 leaves nothing behind for the
+    /// next publish. The rebuild happens on this request thread;
+    /// annotation on the other workers keeps reading the old generation
+    /// until the final pointer swap.
     fn admin_update(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
             return Response::error(422, "body is not UTF-8");
@@ -335,10 +337,8 @@ impl Server {
             Ok(m) => m,
             Err(e) => return Response::error(422, &e.to_string()),
         };
-        for m in mutations {
-            if let Err(msg) = self.live.submit(m) {
-                return Response::error(422, &msg);
-            }
+        if let Err(msg) = self.live.submit_all(mutations) {
+            return Response::error(422, &msg);
         }
         let outcome = self.live.publish();
         self.metrics.generation.set(outcome.generation.0 as i64);

@@ -9,7 +9,9 @@
 //!   poisons a worker — the very next request on a fresh connection works;
 //! * LRU session churn keeps the `server.sessions` gauge consistent with
 //!   the opened/evicted/flushed counters;
-//! * queue bounds surface as HTTP 429 backpressure.
+//! * queue bounds surface as HTTP 429 backpressure;
+//! * `POST /admin/update` publishes in-city edits and rejects a batch with
+//!   any edit outside the city whole.
 
 use semitri::prelude::*;
 use semitri::server::sessions::SessionLimits;
@@ -27,6 +29,11 @@ static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 /// byte-identity with `semitri-cli annotate taxis` depends on. Leaks the
 /// server: tests are short-lived processes.
 fn boot(limits: SessionLimits) -> SocketAddr {
+    boot_server(limits).1
+}
+
+/// [`boot`], also handing back the server for in-process inspection.
+fn boot_server(limits: SessionLimits) -> (&'static Server, SocketAddr) {
     let city = lausanne_taxis(1, 42).city;
     let make_config = || PipelineConfig {
         mode: ModeInferencer {
@@ -64,7 +71,7 @@ fn boot(limits: SessionLimits) -> SocketAddr {
     std::thread::spawn(move || {
         let _ = server.run(listener, &SHUTDOWN);
     });
-    addr
+    (server, addr)
 }
 
 /// Bounded-retry connect: between our bind and our connect another test
@@ -427,4 +434,30 @@ fn admin_update_swaps_generations_without_downtime() {
     let (status, body) = request(addr, "POST", "/annotate", &feed_body(&dataset.tracks[0]));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"type\":\"summary\""));
+}
+
+#[test]
+fn admin_update_rejects_edits_outside_the_city() {
+    let (server, addr) = boot_server(SessionLimits::default());
+    // one road a thousand kilometers out: accepted, the next publish would
+    // size the segment oracle grid from the stretched road bounds
+    let far_road = concat!(
+        "{\"op\":\"add_road\",\"x1\":1000000,\"y1\":1000000,",
+        "\"x2\":1000000,\"y2\":1000001,\"class\":\"street\"}\n",
+    );
+    let (status, body) = request(addr, "POST", "/admin/update", far_road);
+    assert_eq!(status, 422, "{body}");
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok gen=0\n"));
+
+    // the batch is checked whole: its in-city first line is not left
+    // queued for the next publish
+    let batch = concat!(
+        "{\"op\":\"add_poi\",\"x\":3000,\"y\":3000,\"category\":\"item sale\",\"name\":\"kiosk\"}\n",
+        "{\"op\":\"add_poi\",\"x\":-5,\"y\":3000,\"category\":\"item sale\",\"name\":\"off map\"}\n",
+    );
+    let (status, body) = request(addr, "POST", "/admin/update", batch);
+    assert_eq!(status, 422, "{body}");
+    assert_eq!(server.live().pending(), 0);
+    assert_eq!(server.live().current_id(), GenerationId(0));
 }
