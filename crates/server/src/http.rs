@@ -107,8 +107,9 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<NextRe
         return Err(HttpError::BadRequest("request target must be absolute"));
     }
 
-    let mut content_length = 0usize;
-    let mut keep_alive = true; // HTTP/1.1 default
+    let mut content_length = None;
+    // HTTP/1.1 keeps the connection by default, HTTP/1.0 closes it
+    let mut keep_alive = version != "HTTP/1.0";
     let mut headers = 0usize;
     loop {
         let line = read_line(reader)?.ok_or(HttpError::Disconnected)?;
@@ -122,23 +123,28 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<NextRe
         let (name, value) = line
             .split_once(':')
             .ok_or(HttpError::BadRequest("malformed header"))?;
-        let name = name.trim().to_ascii_lowercase();
+        let name = name.trim();
         let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse::<usize>()
-                    .map_err(|_| HttpError::BadRequest("unparseable Content-Length"))?;
+        if name.eq_ignore_ascii_case("content-length") {
+            let n = value
+                .parse::<usize>()
+                .map_err(|_| HttpError::BadRequest("unparseable Content-Length"))?;
+            // RFC 7230 §3.3.3: differing lengths leave the framing ambiguous
+            if content_length.is_some_and(|seen| seen != n) {
+                return Err(HttpError::BadRequest("conflicting Content-Length"));
             }
-            "transfer-encoding" => {
-                return Err(HttpError::BadRequest("chunked bodies are not supported"));
-            }
-            "connection" if value.eq_ignore_ascii_case("close") => {
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::BadRequest("chunked bodies are not supported"));
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                keep_alive = true;
             }
-            _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::PayloadTooLarge);
     }
@@ -216,6 +222,34 @@ mod tests {
         let raw = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
         match parse(raw).unwrap() {
             NextRequest::Request(r) => assert!(!r.keep_alive),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn http_1_0_closes_unless_asked_to_keep_alive() {
+        let keep = |raw: &[u8]| match parse(raw).unwrap() {
+            NextRequest::Request(r) => r.keep_alive,
+            other => panic!("{other:?}"),
+        };
+        assert!(!keep(b"GET /healthz HTTP/1.0\r\n\r\n"));
+        assert!(keep(
+            b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        ));
+        assert!(keep(b"GET /healthz HTTP/1.1\r\n\r\n"));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        assert!(matches!(
+            parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 2\r\n\r\nhello"),
+            Err(HttpError::BadRequest(_))
+        ));
+        // a repeated identical length frames the body the same way
+        match parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nCONTENT-LENGTH: 5\r\n\r\nhello")
+            .unwrap()
+        {
+            NextRequest::Request(r) => assert_eq!(r.body, b"hello"),
             other => panic!("{other:?}"),
         }
     }

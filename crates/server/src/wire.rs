@@ -130,18 +130,91 @@ fn field_f64(pairs: &[(&str, &str)], key: &str) -> Option<Result<f64, String>> {
     field_str(pairs, key).map(|v| token_f64(key, v))
 }
 
+/// `10^k` for every fraction length a fast-path number can have. Each is
+/// exact in `f64`: `10^k = 2^k · 5^k` and `5^19 < 2^53`.
+const POW10: [f64; 20] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19,
+];
+
+/// One number of a canonical fix line, `-?digits(.digits)?`, directly
+/// followed by `end`. Returns the value and the bytes after `end`.
+///
+/// With at most 19 digits the mantissa `m` cannot overflow; with
+/// `m ≤ 2^53` as well, `m` and `10^frac` are both exact in `f64` and the
+/// one division rounds correctly (Clinger), so the result is bit-identical
+/// to `str::parse`. Any other number falls back to `str::parse` on the
+/// token already cut out.
+fn canonical_number(s: &[u8], end: u8) -> Option<(f64, &[u8])> {
+    let neg = s.first() == Some(&b'-');
+    let start = usize::from(neg);
+    let mut i = start;
+    let mut m = 0u64;
+    let mut dot = None;
+    loop {
+        match *s.get(i)? {
+            d @ b'0'..=b'9' => m = m.wrapping_mul(10).wrapping_add(u64::from(d - b'0')),
+            b'.' if dot.is_none() && i > start => dot = Some(i),
+            b if b == end => break,
+            _ => return None,
+        }
+        i += 1;
+    }
+    let frac = match dot {
+        Some(d) if d + 1 == i => return None,
+        Some(d) => i - d - 1,
+        None => 0,
+    };
+    let digits = i - start - usize::from(dot.is_some());
+    if digits == 0 {
+        return None;
+    }
+    let value = if digits <= 19 && m <= 1 << 53 {
+        let v = m as f64 / POW10[frac];
+        if neg {
+            -v
+        } else {
+            v
+        }
+    } else {
+        std::str::from_utf8(&s[..i]).ok()?.parse().ok()?
+    };
+    Some((value, &s[i + 1..]))
+}
+
+/// The fast path for a fix line spelled exactly `{"x":N,"y":N,"t":N}` —
+/// what printing three finite `f64`s with `{}` gives — in one forward pass
+/// over the bytes. Any other spelling — whitespace, another key order, extra
+/// keys, a header, `+7`, `.5`, `12.`, exponents, `NaN` — returns `None` and
+/// takes the general path, which owns every [`WireError`].
+fn canonical_fix(line: &[u8]) -> Option<[f64; 3]> {
+    let rest = line.strip_prefix(b"{\"x\":")?;
+    let (x, rest) = canonical_number(rest, b',')?;
+    let rest = rest.strip_prefix(b"\"y\":")?;
+    let (y, rest) = canonical_number(rest, b',')?;
+    let rest = rest.strip_prefix(b"\"t\":")?;
+    let (t, rest) = canonical_number(rest, b'}')?;
+    rest.is_empty().then_some([x, y, t])
+}
+
 /// Parses a feed body: an optional `object_id`/`trajectory_id` header
 /// line followed by one fix per line. Blank lines are ignored.
 ///
-/// Each line is scanned once, straight into the five fields a feed line
-/// can carry — no pair list, no lookups. Of a repeated key the first
-/// occurrence counts; unknown keys are skipped.
+/// A canonical fix line goes through [`canonical_fix`]. Any other line is
+/// scanned once, straight into the five fields a feed line can carry — no
+/// pair list, no lookups. Of a repeated key the first occurrence counts;
+/// unknown keys are skipped.
 pub fn parse_feed(body: &str) -> Result<GpsFeed, WireError> {
     let mut object_id = 0u64;
     let mut trajectory_id = 0u64;
     let mut records = Vec::new();
     let mut saw_any = false;
     for (i, raw) in body.lines().enumerate() {
+        if let Some([x, y, t]) = canonical_fix(raw.as_bytes()) {
+            records.push(GpsRecord::new(Point::new(x, y), Timestamp(t)));
+            saw_any = true;
+            continue;
+        }
         let line_no = i + 1;
         if raw.trim().is_empty() {
             continue;
@@ -659,11 +732,28 @@ mod tests {
         ];
         const BREAKS: [&str; 8] = ["{", "}", "[1]", "\"", ",", ":", "x", ""];
         const SPACE: [&str; 4] = ["", "", " ", "\t "];
+        const ENDS: [&str; 6] = ["\n", "\n", "\n", "\r\n", "\r\n", ""];
         let mut body = String::new();
         for line in 0..pick(7) {
             if pick(8) == 0 {
                 body.push_str(["", "  ", "\r"][pick(3)]);
                 body.push('\n');
+                continue;
+            }
+            // the canonical spelling, mostly with numbers the fast path takes
+            if pick(3) == 0 {
+                let mut number = || {
+                    if pick(5) == 0 {
+                        VALUES[pick(VALUES.len())].to_string()
+                    } else {
+                        let v =
+                            (pick(1 << 30) as f64 - (1 << 29) as f64) / [1.0, 4.0, 1e3][pick(3)];
+                        format!("{v}")
+                    }
+                };
+                let (x, y, t) = (number(), number(), number());
+                body.push_str(&format!("{{\"x\":{x},\"y\":{y},\"t\":{t}}}"));
+                body.push_str(ENDS[pick(6)]);
                 continue;
             }
             // a whole fix or header in some order, or a random pick of fields
@@ -705,7 +795,7 @@ mod tests {
                 "}"
             });
             body.push_str(SPACE[pick(4)]);
-            body.push_str(["\n", "\n", "\n", "\r\n", "\r\n", ""][pick(6)]);
+            body.push_str(ENDS[pick(6)]);
         }
         body
     }
@@ -730,6 +820,113 @@ mod tests {
             accepted > 4_000 && rejected > 4_000,
             "{accepted} ok, {rejected} rejected"
         );
+    }
+
+    #[test]
+    fn generated_bodies_take_both_parse_paths() {
+        let (mut fast, mut general) = (0, 0);
+        for seed in 0..20_000 {
+            let body = generated_body(seed);
+            if parse_feed(&body).is_ok() {
+                for line in body.lines().filter(|l| !l.trim().is_empty()) {
+                    match canonical_fix(line.as_bytes()) {
+                        Some(_) => fast += 1,
+                        None => general += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            fast > 2_500 && general > 2_500,
+            "{fast} fast, {general} general"
+        );
+    }
+
+    /// A canonical line with `token` in each of the three places, parsed
+    /// by both paths and compared bit for bit.
+    fn assert_token_agrees(token: &str) {
+        for line in [
+            format!("{{\"x\":{token},\"y\":1,\"t\":2}}"),
+            format!("{{\"x\":1,\"y\":{token},\"t\":2}}"),
+            format!("{{\"x\":1,\"y\":2,\"t\":{token}}}"),
+        ] {
+            let (new, old) = (parse_feed(&line), pairwise::parse_feed(&line));
+            assert_eq!(bits(new), bits(old), "{line}");
+        }
+    }
+
+    #[test]
+    fn fast_path_boundary_tokens_match_the_pairwise_parse() {
+        // (token, whether the fast path takes the line at all)
+        const TOKENS: [(&str, bool); 31] = [
+            ("9007199254740992", true),          // 2^53: the last exact mantissa
+            ("9007199254740993", true),          // 2^53 + 1: str::parse
+            ("-9007199254740993", true),         //
+            ("900719925474099.3", true),         // same digits, one a fraction
+            ("900719925474099.25", true),        // 2^53 < m: str::parse
+            ("1234567890123456789", true),       // 19 digits
+            ("0.000000000000000005", true),      // 19 digits, m = 5
+            ("12345678901234567890", true),      // 20 digits
+            ("18446744073709551617", true),      // 20 digits, wraps to m = 1
+            ("0.0000000000000000005", true),     // 20 digits, m = 5
+            ("0.0000000000000000000001", true),  // 22 fraction digits
+            ("0.00000000000000000000001", true), // 23 fraction digits
+            ("0.30000000000000004", true),
+            ("-0.20221894534048165", true), // m / 10^17 for this m rounds twice
+            ("-1.5", true),
+            ("28800", true),
+            ("-0", true),
+            ("-0.0", true),
+            ("007.5", true),
+            ("0", true),
+            ("12.", false),
+            (".5", false),
+            ("-.5", false),
+            ("+7", false),
+            ("1e3", false),
+            ("1.5E-3", false),
+            ("NaN", false),
+            ("inf", false),
+            ("-", false),
+            ("1.2.3", false),
+            ("--1", false),
+        ];
+        for (token, fast) in TOKENS {
+            assert_token_agrees(token);
+            let line = format!("{{\"x\":{token},\"y\":1,\"t\":2}}");
+            assert_eq!(canonical_fix(line.as_bytes()).is_some(), fast, "{token}");
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_the_pairwise_parse_on_random_floats() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut fast = 0;
+        for i in 0..21_000u32 {
+            let bits = next();
+            let v = match i % 3 {
+                // any pattern: huge, tiny, NaN and infinities among them
+                0 => f64::from_bits(bits),
+                // subnormal, either sign
+                1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+                // a short decimal, the spelling the fast division serves
+                _ => {
+                    (bits >> 11) as f64 / POW10[(bits % 20) as usize] * [1.0, -1.0][i as usize % 2]
+                }
+            };
+            let token = format!("{v}");
+            assert_token_agrees(&token);
+            let line = format!("{{\"x\":{token},\"y\":{token},\"t\":{token}}}");
+            fast += usize::from(canonical_fix(line.as_bytes()).is_some());
+        }
+        // every finite value printed with `{}` is canonical
+        assert!(fast > 20_000, "{fast}");
     }
 
     #[test]
