@@ -1,17 +1,20 @@
 //! Experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments <table1|table2|fig9|...|fig17|ablations|throughput|all> [--scale N]
+//! experiments <table1|table2|fig9|...|fig17|ablations|throughput|faults|hotpath|all> \
+//!             [--scale N] [--quick] [--bench-json PATH]
 //! ```
+//!
+//! `--quick` and `--bench-json` apply to `hotpath` only.
 
 use semitri_bench::{
-    ablations, faults, fig10, fig11, fig12_13, fig14, fig15_16, fig17, fig9, hotpath, server_load,
-    store, tables, throughput, Scale,
+    ablations, faults, fig10, fig11, fig12_13, fig14, fig15_16, fig17, fig9, hotpath, tables,
+    throughput, Scale,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|table2|fig9|...|fig17|ablations|throughput|faults|hotpath|server-load|store|all> \
+        "usage: experiments <table1|table2|fig9|...|fig17|ablations|throughput|faults|hotpath|all> \
          [--scale N] [--quick] [--bench-json PATH]"
     );
     std::process::exit(2);
@@ -24,8 +27,6 @@ fn main() {
     }
     let mut scale = Scale(1);
     let mut hotpath_opts = hotpath::HotpathOptions::default();
-    let mut server_load_opts = server_load::ServerLoadOptions::default();
-    let mut store_opts = store::StoreOptions::default();
     let mut which: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -36,16 +37,10 @@ fn main() {
                 };
                 scale = Scale(v.max(1));
             }
-            "--quick" => {
-                hotpath_opts.quick = true;
-                server_load_opts.quick = true;
-                store_opts.quick = true;
-            }
+            "--quick" => hotpath_opts.quick = true,
             "--bench-json" => {
                 let Some(p) = it.next() else { usage() };
-                hotpath_opts.json_path = Some(p.clone());
-                server_load_opts.json_path = Some(p.clone());
-                store_opts.json_path = Some(p);
+                hotpath_opts.json_path = Some(p);
             }
             other => which.push(other.to_string()),
         }
@@ -71,24 +66,12 @@ fn main() {
             "ablations" => ablations::run(scale),
             "throughput" => throughput::run(scale),
             "faults" => faults::run(scale),
-            "hotpath" => failed |= !hotpath::run(scale, &hotpath_opts),
-            "server-load" => failed |= !server_load::run(scale, &server_load_opts),
-            "store" => failed |= !store::run(scale, &store_opts),
+            "hotpath" => failed |= !hotpath::run(&hotpath_opts),
             "all" => {
                 // microbenchmarks first: they want the quiet heap a
                 // standalone `hotpath` run gets, not one pre-fragmented by
                 // fourteen experiments
-                failed |= !hotpath::run(scale, &hotpath_opts);
-                // store scans share the quiet-heap preference; run them
-                // without a json path so `all` never clobbers a tracked
-                // baseline written by a dedicated run
-                failed |= !store::run(
-                    scale,
-                    &store::StoreOptions {
-                        quick: store_opts.quick,
-                        json_path: None,
-                    },
-                );
+                failed |= !hotpath::run(&hotpath_opts);
                 tables::table1(scale);
                 tables::table2(scale);
                 fig9::run(scale);

@@ -4,6 +4,11 @@
 //! `experiments` binary dispatches to them; Criterion micro-benches live
 //! in `benches/`.
 //!
+//! End-to-end and per-layer performance is measured by the ladder
+//! benchmark in `benchmark/`, not here. The one tracked benchmark left in
+//! this crate, [`hotpath`], covers the `geo` / `index` kernels no ladder
+//! rung isolates (`BENCH_annotation.json` is its committed baseline).
+//!
 //! Every experiment is deterministic (fixed seeds, printed in the output)
 //! and sized to run on a laptop; pass `--scale N` to the binary to grow
 //! the datasets toward paper scale.
@@ -18,8 +23,6 @@ pub mod fig15_16;
 pub mod fig17;
 pub mod fig9;
 pub mod hotpath;
-pub mod server_load;
-pub mod store;
 pub mod tables;
 pub mod throughput;
 pub mod util;

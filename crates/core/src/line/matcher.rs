@@ -610,9 +610,8 @@ impl GlobalMapMatcher {
     /// the Eqs. 3–4 merge.
     ///
     /// Retained as the correctness oracle for the optimized kernel (the
-    /// property suite asserts [`Self::match_records_with`] agrees exactly)
-    /// and as the baseline the `hotpath` benchmark measures speedups
-    /// against. Not for production use.
+    /// property suite asserts [`Self::match_records_with`] agrees exactly).
+    /// Not for production use.
     pub fn match_records_naive(&self, records: &[GpsRecord]) -> Vec<Option<MatchedPoint>> {
         let n = records.len();
         // per-point candidate local scores (Algorithm 2 lines 5–9)

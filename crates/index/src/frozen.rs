@@ -38,52 +38,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-/// Lane width of the chunked bbox-intersection passes: 8 × f64 box lanes
-/// per iteration, matching `semitri_geo::LANES`.
-const LANES: usize = 8;
-
-/// 8-wide bbox-intersection test over one chunk of SoA box lanes. Bit `i`
-/// of the returned mask is set when box `i` intersects the (non-empty)
-/// query window — the same four comparisons the scalar loop performs,
-/// evaluated with `&` instead of `&&` so each lane pass is straight-line
-/// compare/or code the autovectorizer can lower to packed compares and a
-/// movemask.
-///
-/// The test runs as an x-axis prefilter followed by a y-axis confirm: for
-/// point-window queries over a planar tree almost every chunk is entirely
-/// x-disjoint, so the common case pays only the two x compares per lane
-/// (the scalar loop's `&&` chain exits just as early, one box at a time —
-/// this is the lane-wise equivalent) and the y half is skipped behind one
-/// well-predicted `mx == 0` branch.
-///
-/// Hit positions are resolved *after* the mask (`trailing_zeros` walks set
-/// bits in ascending lane order), so consumers visit hits in exactly the
-/// scalar forward-scan order — the mask changes how many boxes are in
-/// flight, never the visit sequence.
-#[inline(always)]
-fn intersect_mask8(
-    lx: &[f64; LANES],
-    ly: &[f64; LANES],
-    hx: &[f64; LANES],
-    hy: &[f64; LANES],
-    query: &Rect,
-) -> u8 {
-    let mut mx = 0u8;
-    for i in 0..LANES {
-        let hit = (query.min_x <= hx[i]) & (lx[i] <= query.max_x);
-        mx |= (hit as u8) << i;
-    }
-    if mx == 0 {
-        return 0;
-    }
-    let mut my = 0u8;
-    for i in 0..LANES {
-        let hit = (query.min_y <= hy[i]) & (ly[i] <= query.max_y);
-        my |= (hit as u8) << i;
-    }
-    mx & my
-}
-
 /// A reusable traversal stack for [`FrozenRStarTree::for_each_in_with`].
 ///
 /// Unlike [`RangeScratch`](crate::RangeScratch) this holds plain `u32`
@@ -327,43 +281,11 @@ impl<T> FrozenRStarTree<T> {
     /// stack, so repeated queries perform no heap allocation once the stack
     /// has warmed up.
     ///
-    /// Dispatches at compile time between the two result-identical scan
-    /// bodies: the 8-wide chunked lane pass
-    /// ([`FrozenRStarTree::for_each_in_lanes_with`]) when the build target
-    /// has ≥256-bit SIMD (`avx`), and the scalar early-exit loops
-    /// ([`FrozenRStarTree::for_each_in_scalar_with`]) otherwise. At the
-    /// x86-64 SSE2 baseline packed `f64` compares are only 2-wide, so the
-    /// mask assembly costs more than the scalar `&&` chain's early exits
-    /// (measured ≈0.9x on the hotpath bench); from AVX up the 4-wide
-    /// compares amortize it. Both bodies produce bit-identical visit
-    /// sequences, so the dispatch is observable only in throughput.
+    /// Both the leaf-slab scan and the internal-node child scan are
+    /// one-box-at-a-time forward scans over the SoA box lanes; the `&&`
+    /// chain exits on the first disjoint axis, which for point-window
+    /// probes over a planar tree is almost always the x test.
     pub fn for_each_in_with<'a>(
-        &'a self,
-        scratch: &mut FrozenRangeScratch,
-        query: &Rect,
-        f: impl FnMut(&'a Rect, &'a T),
-    ) {
-        if cfg!(target_feature = "avx") {
-            self.for_each_in_lanes_with(scratch, query, f);
-        } else {
-            self.for_each_in_scalar_with(scratch, query, f);
-        }
-    }
-
-    /// The chunked lane body of [`FrozenRStarTree::for_each_in_with`]:
-    /// both the leaf-slab scan and the internal-node child scan run in
-    /// 8-wide chunked lane passes ([`intersect_mask8`]) — each chunk emits
-    /// a `u8` hit mask from branchless compares over `[f64; 8]` subslices
-    /// of the SoA box lanes, hit positions are resolved after the mask in
-    /// ascending lane order, and a scalar tail handles the remainder — so
-    /// the visit sequence, the `Rect::intersects` re-confirm semantics and
-    /// the results stay bit-identical to the scalar reference
-    /// ([`FrozenRStarTree::for_each_in_scalar_with`], retained as the
-    /// order-identity oracle and the bench baseline).
-    ///
-    /// Public so the property tests and the hotpath bench can pin this
-    /// body regardless of what the build-target dispatch selects.
-    pub fn for_each_in_lanes_with<'a>(
         &'a self,
         scratch: &mut FrozenRangeScratch,
         query: &Rect,
@@ -380,106 +302,11 @@ impl<T> FrozenRStarTree<T> {
         while let Some(n) = scratch.stack.pop() {
             let n = n as usize;
             let (s, e) = (self.start[n] as usize, self.end[n] as usize);
-            let chunks = (e - s) / LANES * LANES;
             if self.leaf[n] {
                 // compare-only SoA pre-filter; the `Rect` slab is touched
                 // only on a hit, where `Rect::intersects` re-confirms so
                 // degenerate (empty) entry rects keep their exact dynamic
                 // semantics — for valid rects the confirm never rejects
-                // `chunks_exact` + zip keeps the chunk loads free of the
-                // per-chunk slice bounds checks that indexed subslicing
-                // would re-check against the full lane arrays.
-                let lanes = self.emin_x[s..s + chunks]
-                    .chunks_exact(LANES)
-                    .zip(self.emin_y[s..s + chunks].chunks_exact(LANES))
-                    .zip(self.emax_x[s..s + chunks].chunks_exact(LANES))
-                    .zip(self.emax_y[s..s + chunks].chunks_exact(LANES));
-                for (ci, (((lx, ly), hx), hy)) in lanes.enumerate() {
-                    let base = s + ci * LANES;
-                    let lx: &[f64; LANES] = lx.try_into().unwrap();
-                    let ly: &[f64; LANES] = ly.try_into().unwrap();
-                    let hx: &[f64; LANES] = hx.try_into().unwrap();
-                    let hy: &[f64; LANES] = hy.try_into().unwrap();
-                    let mut m = intersect_mask8(lx, ly, hx, hy, query);
-                    while m != 0 {
-                        let i = base + m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let r = &self.entry_rects[i];
-                        if r.intersects(query) {
-                            f(r, &self.items[i]);
-                        }
-                    }
-                }
-                for i in s + chunks..e {
-                    if query.min_x <= self.emax_x[i]
-                        && self.emin_x[i] <= query.max_x
-                        && query.min_y <= self.emax_y[i]
-                        && self.emin_y[i] <= query.max_y
-                    {
-                        let r = &self.entry_rects[i];
-                        if r.intersects(query) {
-                            f(r, &self.items[i]);
-                        }
-                    }
-                }
-            } else {
-                // chunked forward scan, then reverse the pushed run so the
-                // pop order still matches the dynamic tree's recursive
-                // depth-first visit order
-                let base_len = scratch.stack.len();
-                let lanes = self.nmin_x[s..s + chunks]
-                    .chunks_exact(LANES)
-                    .zip(self.nmin_y[s..s + chunks].chunks_exact(LANES))
-                    .zip(self.nmax_x[s..s + chunks].chunks_exact(LANES))
-                    .zip(self.nmax_y[s..s + chunks].chunks_exact(LANES));
-                for (ci, (((lx, ly), hx), hy)) in lanes.enumerate() {
-                    let base = s + ci * LANES;
-                    let lx: &[f64; LANES] = lx.try_into().unwrap();
-                    let ly: &[f64; LANES] = ly.try_into().unwrap();
-                    let hx: &[f64; LANES] = hx.try_into().unwrap();
-                    let hy: &[f64; LANES] = hy.try_into().unwrap();
-                    let mut m = intersect_mask8(lx, ly, hx, hy, query);
-                    while m != 0 {
-                        let i = base + m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        scratch.stack.push(i as u32);
-                    }
-                }
-                for i in s + chunks..e {
-                    if query.min_x <= self.nmax_x[i]
-                        && self.nmin_x[i] <= query.max_x
-                        && query.min_y <= self.nmax_y[i]
-                        && self.nmin_y[i] <= query.max_y
-                    {
-                        scratch.stack.push(i as u32);
-                    }
-                }
-                scratch.stack[base_len..].reverse();
-            }
-        }
-    }
-
-    /// The scalar reference for [`FrozenRStarTree::for_each_in_with`]:
-    /// one-box-at-a-time forward scans, the layout's original loops.
-    ///
-    /// Retained (like the matcher's `match_records_naive`) as the identity
-    /// oracle the chunked-path property tests compare against, and as the
-    /// baseline side of the `frozen_range_lanes` hotpath bench pair.
-    pub fn for_each_in_scalar_with<'a>(
-        &'a self,
-        scratch: &mut FrozenRangeScratch,
-        query: &Rect,
-        mut f: impl FnMut(&'a Rect, &'a T),
-    ) {
-        if self.leaf.is_empty() || query.is_empty() {
-            return;
-        }
-        scratch.stack.clear();
-        scratch.stack.push(0);
-        while let Some(n) = scratch.stack.pop() {
-            let n = n as usize;
-            let (s, e) = (self.start[n] as usize, self.end[n] as usize);
-            if self.leaf[n] {
                 let boxes = self.emin_x[s..e]
                     .iter()
                     .zip(&self.emin_y[s..e])
@@ -498,6 +325,9 @@ impl<T> FrozenRStarTree<T> {
                     }
                 }
             } else {
+                // forward scan, then reverse the pushed run so the pop
+                // order matches the dynamic tree's recursive depth-first
+                // visit order
                 let base = scratch.stack.len();
                 let boxes = self.nmin_x[s..e]
                     .iter()
@@ -676,24 +506,44 @@ mod tests {
         assert!(frozen.query(&Rect::new(6.0, 6.0, 10.0, 10.0)).is_empty());
     }
 
-    #[test]
-    fn range_order_matches_dynamic_exactly() {
-        let tree = random_tree(0xBEEF, 800);
+    /// Asserts that the snapshot of `tree` visits every query's hits in
+    /// exactly the dynamic tree's order.
+    fn assert_range_order_matches(tree: &RStarTree<usize>, queries: &[Rect]) {
         let frozen = tree.clone().freeze();
         assert_eq!(frozen.len(), tree.len());
         assert_eq!(frozen.height(), tree.height());
         assert_eq!(frozen.bbox(), tree.bbox());
         let mut scratch = FrozenRangeScratch::new();
-        for probe in 0..40 {
-            let x = probe as f64 * 21.0;
-            let q = Rect::new(x, x * 0.8, x + 55.0, x * 0.8 + 70.0);
+        for (i, q) in queries.iter().enumerate() {
             let mut dynamic: Vec<usize> = Vec::new();
-            tree.for_each_in(&q, |_, &id| dynamic.push(id));
+            tree.for_each_in(q, |_, &id| dynamic.push(id));
             let mut frozen_hits: Vec<usize> = Vec::new();
-            frozen.for_each_in_with(&mut scratch, &q, |_, &id| frozen_hits.push(id));
-            assert_eq!(dynamic, frozen_hits, "probe {probe}");
+            frozen.for_each_in_with(&mut scratch, q, |_, &id| frozen_hits.push(id));
+            assert_eq!(dynamic, frozen_hits, "n={} query {i}", tree.len());
         }
         assert!(scratch.capacity() > 0);
+    }
+
+    #[test]
+    fn range_order_matches_dynamic_exactly() {
+        let queries: Vec<Rect> = (0..40)
+            .map(|probe| {
+                let x = probe as f64 * 21.0;
+                Rect::new(x, x * 0.8, x + 55.0, x * 0.8 + 70.0)
+            })
+            .collect();
+        assert_range_order_matches(&random_tree(0xBEEF, 800), &queries);
+        // sizes from empty through part-filled leaves to a few levels, so
+        // empty and tiny snapshots stay pinned to the dynamic order too
+        let queries: Vec<Rect> = (0..25)
+            .map(|probe| {
+                let x = probe as f64 * 37.0;
+                Rect::new(x, x * 0.6, x + 90.0, x * 0.6 + 120.0)
+            })
+            .collect();
+        for n in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300, 801] {
+            assert_range_order_matches(&random_tree(0xC0FFEE ^ n as u64, n), &queries);
+        }
     }
 
     #[test]
@@ -765,27 +615,6 @@ mod tests {
             assert_eq!(a, b, "probe {probe}");
         }
         assert_eq!(frozen.count_in(&tree.bbox()), 2000);
-    }
-
-    #[test]
-    fn chunked_scan_matches_scalar_reference_order() {
-        // tree sizes straddle every leaf-slab remainder class around the
-        // 8-wide chunk boundary
-        for n in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300, 801] {
-            let tree = random_tree(0xC0FFEE ^ n as u64, n);
-            let frozen = tree.freeze();
-            let mut s_chunked = FrozenRangeScratch::new();
-            let mut s_scalar = FrozenRangeScratch::new();
-            for probe in 0..25 {
-                let x = probe as f64 * 37.0;
-                let q = Rect::new(x, x * 0.6, x + 90.0, x * 0.6 + 120.0);
-                let mut chunked: Vec<usize> = Vec::new();
-                frozen.for_each_in_lanes_with(&mut s_chunked, &q, |_, &id| chunked.push(id));
-                let mut scalar: Vec<usize> = Vec::new();
-                frozen.for_each_in_scalar_with(&mut s_scalar, &q, |_, &id| scalar.push(id));
-                assert_eq!(chunked, scalar, "n={n} probe={probe}");
-            }
-        }
     }
 
     #[test]

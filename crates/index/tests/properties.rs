@@ -172,39 +172,6 @@ proptest! {
     }
 
     #[test]
-    fn frozen_chunked_range_matches_scalar_reference(
-        rects in proptest::collection::vec(rect_strategy(), 1..400),
-        queries in proptest::collection::vec(rect_strategy(), 1..8),
-    ) {
-        // the 8-wide mask-then-resolve scan must visit the same items in
-        // the same order as the retained scalar reference loop, for every
-        // leaf-slab length and remainder-tail residue the generated trees
-        // produce (1..400 items sweeps slabs across the chunk boundary).
-        // The lane body is pinned explicitly: `for_each_in_with` is a
-        // compile-time dispatch and may select the scalar body on
-        // narrow-SIMD build targets.
-        let mut inc = RStarTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            inc.insert(*r, i);
-        }
-        let bulk = RStarTree::bulk_load(
-            rects.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect(),
-        );
-        for tree in [inc, bulk] {
-            let frozen = tree.freeze();
-            let mut s_chunked = FrozenRangeScratch::new();
-            let mut s_scalar = FrozenRangeScratch::new();
-            for q in &queries {
-                let mut chunked: Vec<usize> = Vec::new();
-                frozen.for_each_in_lanes_with(&mut s_chunked, q, |_, &i| chunked.push(i));
-                let mut scalar: Vec<usize> = Vec::new();
-                frozen.for_each_in_scalar_with(&mut s_scalar, q, |_, &i| scalar.push(i));
-                prop_assert_eq!(chunked, scalar);
-            }
-        }
-    }
-
-    #[test]
     fn frozen_knn_is_result_and_order_identical(
         pts in proptest::collection::vec((-500.0..500.0f64, -500.0..500.0f64), 1..150),
         probes in proptest::collection::vec((-600.0..600.0f64, -600.0..600.0f64), 1..6),

@@ -45,8 +45,8 @@
 //!
 //! Per-*episode* and per-*trajectory* outputs (the annotation vectors
 //! themselves) still allocate — they are the result, not the hot path.
-//! The `hotpath` benchmark in `semitri-bench` tracks the per-unit cost of
-//! each stage kernel and fails CI if the matcher regresses.
+//! The ladder benchmark (`benchmark/`) times each stage from outside; the
+//! matcher's per-fix cost is its `core.line.ns_per_move_fix` metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -88,7 +88,7 @@ fn print_metrics(summary: &BatchSummary) {
     );
     for (stage, s) in summary.stages() {
         // per-layer throughput over the stage's own busy time (sum of
-        // span latencies), the same normalization the hotpath bench uses
+        // span latencies)
         let busy_secs = s.count as f64 * s.mean;
         let rate = if busy_secs > 0.0 {
             s.records as f64 / busy_secs

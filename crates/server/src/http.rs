@@ -2,11 +2,14 @@
 //!
 //! Hand-rolled because the build environment has no crates.io access and
 //! the server's needs are narrow: request-line + headers + Content-Length
-//! bodies, keep-alive, and hard limits everywhere a hostile or truncated
-//! peer could otherwise pin a worker (oversized lines, absurd body
-//! lengths, slow-loris reads are cut off by the socket read timeout the
-//! caller installs). No chunked transfer, no TLS, no HTTP/2 — clients
-//! are curl, the load harness and the integration suite.
+//! bodies, keep-alive, and hard limits on size everywhere a hostile or
+//! truncated peer could send too much (oversized lines, absurd body
+//! lengths). Time is bounded only per read: the socket read timeout the
+//! caller installs cuts off a peer that goes silent, but it restarts on
+//! every byte, so a slow-loris peer that trickles bytes faster than the
+//! timeout can hold a worker for as long as it likes. No chunked
+//! transfer, no TLS, no HTTP/2 — clients are curl, the ladder benchmark
+//! and the integration suite.
 
 use std::io::{self, BufRead, Read, Write};
 

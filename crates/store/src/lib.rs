@@ -18,8 +18,7 @@
 //!   dictionaries with labels bitpacked at ⌈log₂|dict|⌉ bits in
 //!   contiguous per-layer streams;
 //! * [`olap`] — warehouse aggregate types plus [`olap::RowStore`], the
-//!   retained row-walk path used as proptest oracle and benchmark
-//!   baseline;
+//!   retained row-walk path used as proptest oracle;
 //! * [`store`] — the [`SemanticTrajectoryStore`] over all of the above:
 //!   trajectory metadata, episode columns with block-skipping time /
 //!   spatial queries, compressed fixes and semantic layers, OLAP

@@ -2,11 +2,10 @@
 //!
 //! The aggregate result types live here together with [`RowStore`], a
 //! deliberately naive row-walk implementation of the same aggregates
-//! over materialized [`SemanticTuple`] rows. `RowStore` serves two
-//! jobs: it is the *oracle* the proptest suite checks the compressed
-//! scans against, and the *baseline* the store benchmark measures the
-//! compressed scans' speedup over (the pre-columnar store answered
-//! these questions with exactly this kind of walk).
+//! over materialized [`SemanticTuple`] rows. `RowStore` is the *oracle*
+//! the proptest suite (`tests/columnar.rs`) checks the compressed scans
+//! against (the pre-columnar store answered these questions with exactly
+//! this kind of walk).
 
 use crate::matrix::TupleLayers;
 use semitri_core::model::{AnnotationValue, PlaceKind, StructuredSemanticTrajectory};
