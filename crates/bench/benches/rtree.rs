@@ -1,8 +1,8 @@
-//! R*-tree micro-benchmarks: build strategies and query costs backing the
+//! R*-tree micro-benchmarks: STR build and query costs backing the
 //! paper's O(n log m) region-join claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use semitri::index::RStarTree;
+use semitri::index::FrozenRStarTree;
 use semitri::prelude::{Point, Rect};
 use std::hint::black_box;
 
@@ -28,20 +28,7 @@ fn bench_build(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("bulk_load", items.len()),
             &items,
-            |b, items| b.iter(|| RStarTree::bulk_load(black_box(items.clone()))),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("insert", items.len()),
-            &items,
-            |b, items| {
-                b.iter(|| {
-                    let mut t = RStarTree::new();
-                    for &(r, id) in items {
-                        t.insert(r, id);
-                    }
-                    t
-                })
-            },
+            |b, items| b.iter(|| FrozenRStarTree::bulk_load(black_box(items.clone()))),
         );
     }
     g.finish();
@@ -50,7 +37,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("rtree_query");
     for n_side in [64usize, 128, 256] {
-        let tree = RStarTree::bulk_load(grid_items(n_side));
+        let tree = FrozenRStarTree::bulk_load(grid_items(n_side));
         // point probe: the per-GPS-record lookup of Algorithm 1
         g.bench_with_input(
             BenchmarkId::new("point_probe", tree.len()),

@@ -20,7 +20,6 @@
 
 use crate::util::{header, Table};
 use semitri::geo::{Segment, SegmentLanes};
-use semitri::index::RStarTree;
 use semitri::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -188,15 +187,14 @@ pub fn run(opts: &HotpathOptions) -> bool {
     // with the same 60 m query radius, so both legs answer the identical
     // candidate question on the identical probes — the ratio is purely
     // slab-lookup vs tree-walk.
-    let frozen_seg_tree = RStarTree::bulk_load(
+    let frozen_seg_tree = FrozenRStarTree::bulk_load(
         downtown
             .roads
             .segments()
             .iter()
             .map(|s| (s.geometry.bbox(), s.id))
             .collect(),
-    )
-    .freeze();
+    );
     let mut frozen_range_scratch = FrozenRangeScratch::new();
     let seg_oracle = CellOracle::build(&frozen_seg_tree, 60.0, 60.0);
     let arena = OracleArena {
@@ -261,15 +259,14 @@ pub fn run(opts: &HotpathOptions) -> bool {
     // under plain point distance (the per-stop retrieval of Algorithm 2) —
     // so the row measures the index traversal and heap, not the segment
     // geometry kernel.
-    let frozen_poi_tree = RStarTree::bulk_load(
+    let frozen_poi_tree = FrozenRStarTree::bulk_load(
         downtown
             .pois
             .pois()
             .iter()
             .map(|poi| (Rect::from_point(poi.point), poi.point))
             .collect(),
-    )
-    .freeze();
+    );
     let mut knn_scratch = FrozenNearestScratch::new();
     results.push(bench("frozen_rtree_knn", "query", samples, || {
         for &p in &dense_probes {

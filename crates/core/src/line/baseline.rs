@@ -10,7 +10,7 @@ use super::matcher::MatchedPoint;
 use semitri_data::road::SegmentId;
 use semitri_data::{GpsRecord, RoadNetwork};
 use semitri_geo::Point;
-use semitri_index::RStarTree;
+use semitri_index::FrozenRStarTree;
 
 /// Distance metric used by [`NearestSegmentMatcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub enum BaselineMetric {
 /// its closest candidate under the chosen metric, independently.
 pub struct NearestSegmentMatcher<'n> {
     net: &'n RoadNetwork,
-    index: RStarTree<SegmentId>,
+    index: FrozenRStarTree<SegmentId>,
     metric: BaselineMetric,
     candidate_radius_m: f64,
 }
@@ -46,7 +46,7 @@ impl<'n> NearestSegmentMatcher<'n> {
             .collect();
         Self {
             net,
-            index: RStarTree::bulk_load(items),
+            index: FrozenRStarTree::bulk_load(items),
             metric,
             candidate_radius_m,
         }

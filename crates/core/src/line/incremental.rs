@@ -11,7 +11,7 @@
 use super::matcher::MatchedPoint;
 use semitri_data::road::SegmentId;
 use semitri_data::{GpsRecord, RoadNetwork};
-use semitri_index::RStarTree;
+use semitri_index::FrozenRStarTree;
 
 /// Parameters of the incremental matcher.
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +35,7 @@ impl Default for IncrementalParams {
 /// The incremental topological matcher.
 pub struct IncrementalMatcher<'n> {
     net: &'n RoadNetwork,
-    index: RStarTree<SegmentId>,
+    index: FrozenRStarTree<SegmentId>,
     params: IncrementalParams,
 }
 
@@ -51,7 +51,7 @@ impl<'n> IncrementalMatcher<'n> {
             .collect();
         Self {
             net,
-            index: RStarTree::bulk_load(items),
+            index: FrozenRStarTree::bulk_load(items),
             params,
         }
     }

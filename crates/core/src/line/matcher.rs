@@ -21,7 +21,7 @@
 use semitri_data::road::SegmentId;
 use semitri_data::{GpsRecord, RoadNetwork};
 use semitri_geo::{Point, Rect, SegmentLanes, LANES};
-use semitri_index::{CellOracle, FrozenRStarTree, RStarTree};
+use semitri_index::{CellOracle, FrozenRStarTree};
 use std::sync::Arc;
 
 /// Parameters of the global map-matching algorithm.
@@ -200,9 +200,9 @@ pub struct GlobalMapMatcher {
 static NEXT_FINGERPRINT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl GlobalMapMatcher {
-    /// Builds the matcher over a road network: bulk-loads an R\*-tree over
-    /// the segment bounding boxes, freezes it into the flat snapshot and
-    /// materializes the per-cell candidate oracle from it.
+    /// Builds the matcher over a road network: STR-packs an R\*-tree over
+    /// the segment bounding boxes and materializes the per-cell candidate
+    /// oracle from it.
     ///
     /// Accepts either an `Arc<RoadNetwork>` (shared with a snapshot
     /// generation, no copy) or `&RoadNetwork` (cloned into a fresh `Arc`
@@ -228,7 +228,7 @@ impl GlobalMapMatcher {
             .iter()
             .map(|s| (s.geometry.bbox(), s.id))
             .collect();
-        let tree = RStarTree::bulk_load(items).freeze();
+        let tree = FrozenRStarTree::bulk_load(items);
         let r = params.candidate_radius_m;
         // Cells a third of the candidate radius: the per-cell catchment —
         // and with it the slab every fix filters — shrinks from (3r)² to

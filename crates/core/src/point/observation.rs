@@ -18,7 +18,7 @@
 
 use semitri_data::{Poi, PoiCategory, PoiSet};
 use semitri_geo::{Point, Rect};
-use semitri_index::{CellOracle, FrozenNearestScratch, FrozenRStarTree, GridIndex, RStarTree};
+use semitri_index::{CellOracle, FrozenNearestScratch, FrozenRStarTree, GridIndex};
 
 /// Number of POI categories (the Milan taxonomy of Fig. 5).
 pub const CATEGORY_COUNT: usize = 5;
@@ -87,7 +87,7 @@ impl PoiObservationModel {
         for (i, p) in pois.pois().iter().enumerate() {
             grid.insert(p.point, (p.id, i as u32, p.category));
         }
-        let lookup = RStarTree::bulk_load(
+        let lookup = FrozenRStarTree::bulk_load(
             pois.pois()
                 .iter()
                 .enumerate()
@@ -98,8 +98,7 @@ impl PoiObservationModel {
                     )
                 })
                 .collect(),
-        )
-        .freeze();
+        );
         let oracle = CellOracle::build(&lookup, neighbor_radius, neighbor_radius);
         let mut cell_rows = vec![[FLOOR; CATEGORY_COUNT]; grid.nx() * grid.ny()];
         for row in 0..grid.ny() {

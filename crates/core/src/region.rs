@@ -15,7 +15,7 @@ use crate::model::{PlaceKind, PlaceRef};
 use semitri_data::{LanduseCategory, LanduseCell, LanduseGrid, NamedRegion, RawTrajectory};
 use semitri_episodes::Episode;
 use semitri_geo::{Point, Polygon, Rect, TimeSpan, Timestamp};
-use semitri_index::{FrozenRStarTree, FrozenRangeScratch, RStarTree};
+use semitri_index::{FrozenRStarTree, FrozenRangeScratch};
 use std::sync::Arc;
 
 /// A region entry of the tree-backed source: polygonal (free-form
@@ -197,7 +197,7 @@ impl RegionAnnotator {
     fn from_entries(entries: Vec<RegionEntry>) -> Self {
         let items = entries.into_iter().map(|e| (e.rect, e)).collect();
         Self {
-            source: Source::Tree(Box::new(RStarTree::bulk_load(items).freeze())),
+            source: Source::Tree(Box::new(FrozenRStarTree::bulk_load(items))),
         }
     }
 
@@ -216,8 +216,8 @@ impl RegionAnnotator {
     }
 
     /// Builds the layer over free-form named regions (campus, recreation
-    /// areas — the paper's OpenStreetMap examples): a bulk-loaded R\*-tree
-    /// frozen into the flat snapshot.
+    /// areas — the paper's OpenStreetMap examples): an STR-packed
+    /// R\*-tree.
     pub fn from_named_regions(regions: &[NamedRegion]) -> Self {
         let entries = regions
             .iter()
@@ -355,7 +355,7 @@ mod tests {
 
     impl RegionAnnotator {
         /// The paper-literal landuse join this layer used to ship: every
-        /// cell boxed into a bulk-loaded, frozen R\*-tree and re-found by a
+        /// cell boxed into an STR-packed R\*-tree and re-found by a
         /// tree descent per fix. Kept as the raster path's differential
         /// oracle.
         fn from_landuse_tree(grid: &LanduseGrid) -> Self {

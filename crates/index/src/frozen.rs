@@ -1,10 +1,11 @@
-//! An immutable, cache-packed snapshot of an [`RStarTree`].
+//! The R\*-tree: a static, STR-packed, cache-flat read structure.
 //!
 //! The annotation pipeline builds its spatial indexes once per city and
 //! then reads them millions of times (one region probe and one candidate
-//! window per GPS fix, one POI lookup per stop). The dynamic tree pays a
-//! pointer chase through `Box<Node>` heap allocations on every level of
-//! every query; [`FrozenRStarTree`] removes that cost with the classic
+//! window per GPS fix, one POI lookup per stop), and no source ever
+//! changes a tree in place — a map edit publishes a rebuilt generation.
+//! So the tree is built in one pass by Sort-Tile-Recursive packing
+//! ([`FrozenRStarTree::bulk_load`]) straight into the classic
 //! read-optimized flat layout:
 //!
 //! * **node arena** — all nodes live in one `Vec`, in BFS order (root at
@@ -20,30 +21,24 @@
 //!   mirror of the entry boxes so the leaf scan is compare-only and the
 //!   `Rect`/item slabs are touched only on hits.
 //!
-//! **Order identity.** Every query reproduces the dynamic tree's result
-//! *order* bit for bit, not just its result set: ranges visit children
-//! depth-first in stored order (the freeze preserves the dynamic child
-//! order, and the iterative stack pushes in reverse exactly like
-//! [`RStarTree::for_each_in_with`]), and nearest-neighbor search drives
-//! an identical best-first heap — same push sequence, same
-//! distance-only comparator, so equal-distance ties break the same way.
-//! The property suite in `tests/properties.rs` asserts both identities
-//! against the dynamic tree, which is what lets every annotation layer
-//! read the snapshot in place of the tree it was built from without
-//! changing a single output byte.
+//! **Order contract.** Range queries visit hits depth-first in STR child
+//! order, which is leaf-slab order: every query reports its hits in
+//! strictly increasing entry-slab position. Nearest-neighbor search is
+//! best-first over a distance-only heap, so equal-distance ties break by
+//! push order, which is again STR child order. The layout itself is
+//! pinned by digests in this module's tests, and `tests/properties.rs`
+//! checks range, kNN and radius answers against brute-force scans.
 
-use crate::rstar::{Node, RStarTree};
 use semitri_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A reusable traversal stack for [`FrozenRStarTree::for_each_in_with`].
 ///
-/// Unlike [`RangeScratch`](crate::RangeScratch) this holds plain `u32`
-/// arena indexes, not borrows — so it carries no lifetime and can live
-/// inside long-lived scratch arenas (e.g. the matcher's `MatchScratch`)
-/// across queries and across trees.
+/// It holds plain `u32` arena indexes, not borrows — so it carries no
+/// lifetime and can live inside long-lived scratch arenas (e.g. the
+/// matcher's `MatchScratch`) across queries and across trees.
 #[derive(Debug, Default)]
 pub struct FrozenRangeScratch {
     stack: Vec<u32>,
@@ -69,11 +64,9 @@ enum FrozenCand {
     Item(u32),
 }
 
-/// Heap entry mirroring the dynamic tree's: ordering compares the
-/// distance only (reversed for min-first), ties are `Equal`. Identical
-/// push sequences through an identical comparator make the pop order —
-/// and therefore the query result order — bit-identical to the dynamic
-/// tree's.
+/// Best-first heap entry: ordering compares the distance only (reversed
+/// for min-first), ties are `Equal`, so equal-distance candidates pop in
+/// an order fixed by the push sequence alone.
 #[derive(Debug, Clone, Copy)]
 struct FrozenHeapEntry {
     dist: f64,
@@ -121,21 +114,25 @@ impl FrozenNearestScratch {
     }
 }
 
-/// The immutable flat snapshot of an [`RStarTree`]. Build once with
-/// [`RStarTree::freeze`] (or [`FrozenRStarTree::from_dynamic`]), share
-/// freely across threads (`&self` queries only), and get the dynamic
-/// tree's exact results — values *and* visit order — at flat-array cost.
+/// Maximum entries per node (`M`). 32 fits a node in a few cache lines
+/// of child boxes and keeps the tree shallow for the million-cell landuse
+/// source.
+const MAX_ENTRIES: usize = 32;
+
+/// A static R\*-tree in a flat, read-only layout. Build once with
+/// [`FrozenRStarTree::bulk_load`], then share freely across threads
+/// (`&self` queries only).
 ///
 /// ```
 /// use semitri_geo::{Point, Rect};
-/// use semitri_index::{FrozenRStarTree, RStarTree};
+/// use semitri_index::FrozenRStarTree;
 ///
-/// let mut tree = RStarTree::new();
-/// tree.insert(Rect::new(0.0, 0.0, 1.0, 1.0), "cell a");
-/// tree.insert(Rect::new(5.0, 5.0, 6.0, 6.0), "cell b");
-/// let frozen = tree.freeze();
+/// let tree = FrozenRStarTree::bulk_load(vec![
+///     (Rect::new(0.0, 0.0, 1.0, 1.0), "cell a"),
+///     (Rect::new(5.0, 5.0, 6.0, 6.0), "cell b"),
+/// ]);
 /// let mut hits = Vec::new();
-/// frozen.for_each_in(&Rect::new(0.5, 0.5, 2.0, 2.0), |_, &name| hits.push(name));
+/// tree.for_each_in(&Rect::new(0.5, 0.5, 2.0, 2.0), |_, &name| hits.push(name));
 /// assert_eq!(hits, vec!["cell a"]);
 /// ```
 #[derive(Debug, Clone)]
@@ -169,22 +166,78 @@ pub struct FrozenRStarTree<T> {
 }
 
 impl<T> FrozenRStarTree<T> {
-    /// Flattens a dynamic tree into the frozen layout in one BFS pass.
+    /// Builds the tree from `(rect, item)` pairs by Sort-Tile-Recursive
+    /// packing, straight into the flat layout.
     ///
-    /// Nodes are numbered in BFS order, so every node's children occupy a
-    /// contiguous arena range in the same relative order the dynamic tree
-    /// stored them — the invariant the order-identity contract rests on.
-    pub fn from_dynamic(tree: RStarTree<T>) -> Self {
-        let n_nodes_hint = tree.len() / 16 + 2;
-        let (root, len, height, bbox) = tree.into_parts();
+    /// The STR groups are built bottom-up: each level is sorted (stably)
+    /// by box centre x, cut into `ceil(sqrt(groups))` vertical slices,
+    /// each slice sorted (stably) by centre y and cut into runs of
+    /// [`MAX_ENTRIES`]; every run becomes one node of the level above.
+    /// One top-down BFS from the root then emits the arena, the CSR
+    /// ranges, the SoA boxes and the entry slab. All leaves sit at the
+    /// same depth, so BFS meets them in depth-first order, and the entry
+    /// slab is in depth-first order too.
+    ///
+    /// # Panics
+    /// Panics if any rectangle is empty or has a non-finite bound:
+    /// indexing nothing is always a caller bug.
+    pub fn bulk_load(mut items: Vec<(Rect, T)>) -> Self {
+        for (r, _) in &items {
+            assert!(
+                !r.is_empty()
+                    && r.min_x.is_finite()
+                    && r.min_y.is_finite()
+                    && r.max_x.is_finite()
+                    && r.max_y.is_finite(),
+                "cannot index an empty or non-finite rectangle"
+            );
+        }
+        let len = items.len();
+        let n = u32::try_from(len).expect("the CSR ranges address at most u32::MAX items");
+        let centres: Vec<Point> = items.iter().map(|(r, _)| r.center()).collect();
+        // leaves: runs of item indexes in STR order
+        let mut order: Vec<u32> = (0..n).collect();
+        let leaves: Vec<Packed> = str_groups(&mut order, |&i| centres[i as usize])
+            .into_iter()
+            .map(|g| Packed {
+                rect: order[g.clone()]
+                    .iter()
+                    .fold(Rect::EMPTY, |a, &i| a.union(&items[i as usize].0)),
+                range: g,
+            })
+            .collect();
+        // an empty tree is one empty leaf
+        let mut levels = vec![if leaves.is_empty() {
+            vec![Packed {
+                rect: Rect::EMPTY,
+                range: 0..0,
+            }]
+        } else {
+            leaves
+        }];
+        // upper levels: each groups a run of the (re-sorted) level below
+        while let Some(below) = levels.last_mut().filter(|l| l.len() > 1) {
+            let parents: Vec<Packed> = str_groups(below, |p| p.rect.center())
+                .into_iter()
+                .map(|g| Packed {
+                    rect: below[g.clone()]
+                        .iter()
+                        .fold(Rect::EMPTY, |a, c| a.union(&c.rect)),
+                    range: g,
+                })
+                .collect();
+            levels.push(parents);
+        }
+
+        let n_nodes: usize = levels.iter().map(Vec::len).sum();
         let mut f = Self {
-            leaf: Vec::with_capacity(n_nodes_hint),
-            start: Vec::with_capacity(n_nodes_hint),
-            end: Vec::with_capacity(n_nodes_hint),
-            nmin_x: Vec::with_capacity(n_nodes_hint),
-            nmin_y: Vec::with_capacity(n_nodes_hint),
-            nmax_x: Vec::with_capacity(n_nodes_hint),
-            nmax_y: Vec::with_capacity(n_nodes_hint),
+            leaf: Vec::with_capacity(n_nodes),
+            start: Vec::with_capacity(n_nodes),
+            end: Vec::with_capacity(n_nodes),
+            nmin_x: Vec::with_capacity(n_nodes),
+            nmin_y: Vec::with_capacity(n_nodes),
+            nmax_x: Vec::with_capacity(n_nodes),
+            nmax_y: Vec::with_capacity(n_nodes),
             entry_rects: Vec::with_capacity(len),
             emin_x: Vec::with_capacity(len),
             emin_y: Vec::with_capacity(len),
@@ -192,46 +245,57 @@ impl<T> FrozenRStarTree<T> {
             emax_y: Vec::with_capacity(len),
             items: Vec::with_capacity(len),
             len,
-            height,
-            bbox,
+            height: levels.len(),
+            bbox: levels[levels.len() - 1][0].rect,
         };
-        // BFS: the queue pops nodes in exactly arena-index order, so the
-        // running `assigned` counter prices each node's child range before
-        // the children themselves are processed
-        let mut queue: VecDeque<(Node<T>, Rect)> = VecDeque::new();
-        queue.push_back((root, bbox));
-        let mut assigned: u32 = 1;
-        while let Some((node, rect)) = queue.pop_front() {
-            f.nmin_x.push(rect.min_x);
-            f.nmin_y.push(rect.min_y);
-            f.nmax_x.push(rect.max_x);
-            f.nmax_y.push(rect.max_y);
-            match node {
-                Node::Leaf(es) => {
-                    f.leaf.push(true);
-                    f.start.push(f.items.len() as u32);
-                    for e in es {
-                        f.entry_rects.push(e.rect);
-                        f.emin_x.push(e.rect.min_x);
-                        f.emin_y.push(e.rect.min_y);
-                        f.emax_x.push(e.rect.max_x);
-                        f.emax_y.push(e.rect.max_y);
-                        f.items.push(e.item);
+        // top-down BFS, one level at a time. Sorting a level for its
+        // parents permuted it after its own children were grouped, so the
+        // order comes from the parents' child runs, not from storage order
+        let mut slab_pos = vec![0u32; len];
+        let mut next_slab = 0u32;
+        let mut assigned = 1u32;
+        let mut frontier = vec![0usize];
+        for (depth, level) in levels.iter().enumerate().rev() {
+            let mut below = Vec::new();
+            for &k in &frontier {
+                let p = &level[k];
+                f.nmin_x.push(p.rect.min_x);
+                f.nmin_y.push(p.rect.min_y);
+                f.nmax_x.push(p.rect.max_x);
+                f.nmax_y.push(p.rect.max_y);
+                f.leaf.push(depth == 0);
+                if depth == 0 {
+                    f.start.push(next_slab);
+                    for &i in &order[p.range.clone()] {
+                        slab_pos[i as usize] = next_slab;
+                        next_slab += 1;
                     }
-                    f.end.push(f.items.len() as u32);
-                }
-                Node::Internal(cs) => {
-                    f.leaf.push(false);
+                    f.end.push(next_slab);
+                } else {
                     f.start.push(assigned);
-                    assigned += cs.len() as u32;
+                    assigned += p.range.len() as u32;
                     f.end.push(assigned);
-                    for c in cs {
-                        queue.push_back((*c.node, c.rect));
-                    }
+                    below.extend(p.range.clone());
                 }
             }
+            frontier = below;
         }
-        debug_assert_eq!(f.items.len(), f.len);
+        // move every item to its slab position by following cycles
+        for i in 0..len {
+            while slab_pos[i] as usize != i {
+                let j = slab_pos[i] as usize;
+                items.swap(i, j);
+                slab_pos.swap(i, j);
+            }
+        }
+        for (rect, item) in items {
+            f.entry_rects.push(rect);
+            f.emin_x.push(rect.min_x);
+            f.emin_y.push(rect.min_y);
+            f.emax_x.push(rect.max_x);
+            f.emax_y.push(rect.max_y);
+            f.items.push(item);
+        }
         f
     }
 
@@ -271,8 +335,8 @@ impl<T> FrozenRStarTree<T> {
         out
     }
 
-    /// Visits every item whose rectangle intersects `query`, in exactly the
-    /// dynamic tree's depth-first visit order.
+    /// Visits every item whose rectangle intersects `query`, depth-first
+    /// in STR child order — that is, in increasing entry-slab position.
     pub fn for_each_in<'a>(&'a self, query: &Rect, f: impl FnMut(&'a Rect, &'a T)) {
         self.for_each_in_with(&mut FrozenRangeScratch::new(), query, f);
     }
@@ -293,8 +357,8 @@ impl<T> FrozenRStarTree<T> {
     ) {
         // an empty query intersects nothing (Rect::intersects is false on
         // either side being empty); the raw SoA test below assumes a
-        // non-empty query, so short-circuit here to stay result-identical
-        if self.leaf.is_empty() || query.is_empty() {
+        // non-empty query
+        if query.is_empty() {
             return;
         }
         scratch.stack.clear();
@@ -303,10 +367,9 @@ impl<T> FrozenRStarTree<T> {
             let n = n as usize;
             let (s, e) = (self.start[n] as usize, self.end[n] as usize);
             if self.leaf[n] {
-                // compare-only SoA pre-filter; the `Rect` slab is touched
-                // only on a hit, where `Rect::intersects` re-confirms so
-                // degenerate (empty) entry rects keep their exact dynamic
-                // semantics — for valid rects the confirm never rejects
+                // compare-only SoA scan; the `Rect` slab is touched only on
+                // a hit. Entry rects are never empty (`bulk_load` rejects
+                // them) and the query is not, so this is `Rect::intersects`
                 let boxes = self.emin_x[s..e]
                     .iter()
                     .zip(&self.emin_y[s..e])
@@ -318,16 +381,12 @@ impl<T> FrozenRStarTree<T> {
                         && query.min_y <= hy
                         && ly <= query.max_y
                     {
-                        let r = &self.entry_rects[s + i];
-                        if r.intersects(query) {
-                            f(r, &self.items[s + i]);
-                        }
+                        f(&self.entry_rects[s + i], &self.items[s + i]);
                     }
                 }
             } else {
-                // forward scan, then reverse the pushed run so the pop
-                // order matches the dynamic tree's recursive depth-first
-                // visit order
+                // forward scan, then reverse the pushed run so children
+                // pop in stored (STR) order
                 let base = scratch.stack.len();
                 let boxes = self.nmin_x[s..e]
                     .iter()
@@ -356,8 +415,12 @@ impl<T> FrozenRStarTree<T> {
     }
 
     /// The `k` items nearest to `p` under the caller-supplied exact
-    /// distance `dist` — same contract and same result order as
-    /// [`RStarTree::nearest_by`].
+    /// distance `dist`, nearest first.
+    ///
+    /// Best-first search with the bounding-box distance as the lower bound
+    /// of a subtree, so `dist` must dominate the distance from `p` to the
+    /// item's rectangle (true for any geometry enclosed in its box).
+    /// Equal distances come out in push order (STR child order).
     pub fn nearest_by<'a>(
         &'a self,
         p: Point,
@@ -412,9 +475,8 @@ impl<T> FrozenRStarTree<T> {
                             });
                         }
                     } else {
-                        // forward zipped-slice scan: same push order as the
-                        // dynamic tree's child loop, one bounds check per
-                        // range instead of four per child
+                        // forward zipped-slice scan in child order, one
+                        // bounds check per range instead of four per child
                         let boxes = self.nmin_x[s..e]
                             .iter()
                             .zip(&self.nmin_y[s..e])
@@ -464,6 +526,40 @@ impl<T> FrozenRStarTree<T> {
     }
 }
 
+/// One node of the STR build: its box and its run of the level below
+/// (for a leaf, its run of the item order).
+struct Packed {
+    rect: Rect,
+    range: Range<usize>,
+}
+
+/// Sorts `elems` into STR order in place — stably by centre x, then each
+/// vertical slice stably by centre y — and returns the runs of at most
+/// [`MAX_ENTRIES`] that become the nodes of the level above.
+fn str_groups<E>(elems: &mut [E], centre: impl Fn(&E) -> Point) -> Vec<Range<usize>> {
+    if elems.is_empty() {
+        return Vec::new();
+    }
+    let n_groups = elems.len().div_ceil(MAX_ENTRIES);
+    let n_slices = (n_groups as f64).sqrt().ceil() as usize;
+    let slice_size = elems.len().div_ceil(n_slices);
+    elems.sort_by(|a, b| cmp_f64(centre(a).x, centre(b).x));
+    let mut groups = Vec::with_capacity(n_groups);
+    for (k, slice) in elems.chunks_mut(slice_size).enumerate() {
+        slice.sort_by(|a, b| cmp_f64(centre(a).y, centre(b).y));
+        let base = k * slice_size;
+        for g in (0..slice.len()).step_by(MAX_ENTRIES) {
+            groups.push(base + g..base + (g + MAX_ENTRIES).min(slice.len()));
+        }
+    }
+    groups
+}
+
+/// Total order for the STR sorts: incomparable (NaN) keys tie.
+fn cmp_f64(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,149 +574,466 @@ mod tests {
         }
     }
 
-    fn random_tree(seed: u64, n: usize) -> RStarTree<usize> {
+    fn pt_rect(x: f64, y: f64) -> Rect {
+        Rect::from_point(Point::new(x, y))
+    }
+
+    fn random_items(seed: u64, n: usize) -> Vec<(Rect, usize)> {
         let mut next = lcg(seed);
-        let mut tree = RStarTree::new();
-        for id in 0..n {
-            let x = next() * 900.0;
-            let y = next() * 900.0;
-            tree.insert(Rect::new(x, y, x + next() * 15.0, y + next() * 15.0), id);
-        }
-        tree
+        (0..n)
+            .map(|id| {
+                let x = next() * 900.0;
+                let y = next() * 900.0;
+                (Rect::new(x, y, x + next() * 15.0, y + next() * 15.0), id)
+            })
+            .collect()
     }
 
     #[test]
     fn empty_and_single_item_snapshots() {
-        let frozen: FrozenRStarTree<u8> = RStarTree::new().freeze();
-        assert!(frozen.is_empty());
-        assert_eq!(frozen.node_count(), 1);
-        assert!(frozen.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).is_empty());
-        assert!(frozen.nearest_by(Point::ORIGIN, 3, |_| 0.0).is_empty());
+        let tree: FrozenRStarTree<u8> = FrozenRStarTree::bulk_load(vec![]);
+        assert!(tree.is_empty());
+        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.height(), 1);
+        assert!(tree.bbox().is_empty());
+        assert!(tree.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).is_empty());
+        assert!(tree.nearest_by(Point::ORIGIN, 3, |_| 0.0).is_empty());
 
-        let mut t = RStarTree::new();
-        t.insert(Rect::from_point(Point::new(5.0, 5.0)), 42u32);
-        let frozen = t.freeze();
-        assert_eq!(frozen.len(), 1);
-        assert_eq!(frozen.height(), 1);
-        assert_eq!(frozen.query(&Rect::new(0.0, 0.0, 10.0, 10.0)).len(), 1);
-        assert!(frozen.query(&Rect::new(6.0, 6.0, 10.0, 10.0)).is_empty());
-    }
-
-    /// Asserts that the snapshot of `tree` visits every query's hits in
-    /// exactly the dynamic tree's order.
-    fn assert_range_order_matches(tree: &RStarTree<usize>, queries: &[Rect]) {
-        let frozen = tree.clone().freeze();
-        assert_eq!(frozen.len(), tree.len());
-        assert_eq!(frozen.height(), tree.height());
-        assert_eq!(frozen.bbox(), tree.bbox());
-        let mut scratch = FrozenRangeScratch::new();
-        for (i, q) in queries.iter().enumerate() {
-            let mut dynamic: Vec<usize> = Vec::new();
-            tree.for_each_in(q, |_, &id| dynamic.push(id));
-            let mut frozen_hits: Vec<usize> = Vec::new();
-            frozen.for_each_in_with(&mut scratch, q, |_, &id| frozen_hits.push(id));
-            assert_eq!(dynamic, frozen_hits, "n={} query {i}", tree.len());
-        }
-        assert!(scratch.capacity() > 0);
+        let tree = FrozenRStarTree::bulk_load(vec![(pt_rect(5.0, 5.0), 42u32)]);
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.height(), 1);
+        assert_eq!(tree.bbox(), pt_rect(5.0, 5.0));
+        assert_eq!(tree.query(&Rect::new(0.0, 0.0, 10.0, 10.0)).len(), 1);
+        assert!(tree.query(&Rect::new(6.0, 6.0, 10.0, 10.0)).is_empty());
     }
 
     #[test]
-    fn range_order_matches_dynamic_exactly() {
-        let queries: Vec<Rect> = (0..40)
-            .map(|probe| {
-                let x = probe as f64 * 21.0;
-                Rect::new(x, x * 0.8, x + 55.0, x * 0.8 + 70.0)
+    fn bulk_load_empty_and_tiny() {
+        let tree: FrozenRStarTree<u8> = FrozenRStarTree::bulk_load(vec![]);
+        assert!(tree.is_empty());
+        assert_eq!(tree.len(), 0);
+
+        let tree = FrozenRStarTree::bulk_load(vec![(pt_rect(1.0, 1.0), 7u8)]);
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.height(), 1);
+        assert_eq!(tree.node_count(), 1);
+        assert_eq!(
+            tree.query(&Rect::new(0.0, 0.0, 2.0, 2.0)),
+            vec![(&pt_rect(1.0, 1.0), &7)]
+        );
+    }
+
+    #[test]
+    fn empty_tree_queries() {
+        let tree: FrozenRStarTree<u32> = FrozenRStarTree::bulk_load(vec![]);
+        assert!(tree.is_empty());
+        assert_eq!(tree.len(), 0);
+        assert!(tree.query(&Rect::new(0.0, 0.0, 1.0, 1.0)).is_empty());
+        assert_eq!(tree.count_in(&Rect::new(-1e9, -1e9, 1e9, 1e9)), 0);
+        assert!(tree.nearest_by(Point::ORIGIN, 3, |_| 0.0).is_empty());
+        assert!(tree.within_radius(Point::ORIGIN, 1e9).is_empty());
+    }
+
+    #[test]
+    fn single_item() {
+        let tree = FrozenRStarTree::bulk_load(vec![(pt_rect(5.0, 5.0), 42u32)]);
+        assert_eq!(tree.len(), 1);
+        assert_eq!(tree.query(&Rect::new(0.0, 0.0, 10.0, 10.0)).len(), 1);
+        assert!(tree.query(&Rect::new(6.0, 6.0, 10.0, 10.0)).is_empty());
+        assert_eq!(
+            tree.nearest_by(Point::ORIGIN, 3, |&v| v as f64),
+            vec![(42.0, &42)]
+        );
+    }
+
+    #[test]
+    fn for_each_in_with_on_empty_and_single() {
+        let mut scratch = FrozenRangeScratch::new();
+        let mut n = 0;
+        let tree: FrozenRStarTree<u8> = FrozenRStarTree::bulk_load(vec![]);
+        tree.for_each_in_with(&mut scratch, &Rect::new(0.0, 0.0, 1.0, 1.0), |_, _| n += 1);
+        assert_eq!(n, 0);
+
+        let tree = FrozenRStarTree::bulk_load(vec![(pt_rect(0.5, 0.5), 1u8)]);
+        tree.for_each_in_with(&mut scratch, &Rect::new(0.0, 0.0, 1.0, 1.0), |_, _| n += 1);
+        assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn grid_range_query() {
+        let mut items = Vec::new();
+        for i in 0..40 {
+            for j in 0..40 {
+                items.push((pt_rect(i as f64, j as f64), (i, j)));
+            }
+        }
+        let tree = FrozenRStarTree::bulk_load(items);
+        assert_eq!(tree.len(), 1600);
+        assert!(tree.height() > 1);
+        let hits = tree.query(&Rect::new(10.0, 10.0, 14.0, 12.0));
+        assert_eq!(hits.len(), 5 * 3);
+        for (_, &(i, j)) in &hits {
+            assert!((10..=14).contains(&i) && (10..=12).contains(&j));
+        }
+    }
+
+    #[test]
+    fn query_matches_brute_force() {
+        let mut next = lcg(0x12345678);
+        let items: Vec<(Rect, usize)> = (0..500)
+            .map(|id| {
+                let (x, y) = (next() * 1000.0, next() * 1000.0);
+                (Rect::new(x, y, x + next() * 20.0, y + next() * 20.0), id)
             })
             .collect();
-        assert_range_order_matches(&random_tree(0xBEEF, 800), &queries);
-        // sizes from empty through part-filled leaves to a few levels, so
-        // empty and tiny snapshots stay pinned to the dynamic order too
+        let tree = FrozenRStarTree::bulk_load(items.clone());
+        for probe in 0..50 {
+            let x = (probe as f64) * 19.0;
+            let q = Rect::new(x, x * 0.7, x + 60.0, x * 0.7 + 45.0);
+            let mut expected: Vec<usize> = items
+                .iter()
+                .filter(|(r, _)| r.intersects(&q))
+                .map(|&(_, id)| id)
+                .collect();
+            let mut got: Vec<usize> = tree.query(&q).iter().map(|&(_, &id)| id).collect();
+            expected.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(expected, got, "probe {probe}");
+        }
+    }
+
+    #[test]
+    fn range_order_is_slab_order() {
+        // sizes from empty through part-filled leaves to three levels; every
+        // query must report exactly the entry slab filtered by the query,
+        // in slab order, through one reused scratch stack
         let queries: Vec<Rect> = (0..25)
             .map(|probe| {
                 let x = probe as f64 * 37.0;
                 Rect::new(x, x * 0.6, x + 90.0, x * 0.6 + 120.0)
             })
             .collect();
-        for n in [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300, 801] {
-            assert_range_order_matches(&random_tree(0xC0FFEE ^ n as u64, n), &queries);
-        }
-    }
-
-    #[test]
-    fn knn_order_matches_dynamic_exactly() {
-        let tree = random_tree(0x5EED, 600);
-        let frozen = tree.clone().freeze();
-        let mut scratch = FrozenNearestScratch::new();
-        for probe in 0..30 {
-            let p = Point::new(probe as f64 * 31.0, probe as f64 * 23.0);
-            let dynamic = tree.nearest_by(p, 7, |&id| center_distance(&tree, id, p));
-            let froz =
-                frozen.nearest_by_with(&mut scratch, p, 7, |&id| center_distance(&tree, id, p));
-            let dyn_pairs: Vec<(f64, usize)> = dynamic.iter().map(|&(d, &id)| (d, id)).collect();
-            let froz_pairs: Vec<(f64, usize)> = froz.iter().map(|&(d, &id)| (d, id)).collect();
-            assert_eq!(dyn_pairs, froz_pairs, "probe {probe}");
+        let mut scratch = FrozenRangeScratch::new();
+        for n in [0, 1, 7, 31, 32, 33, 63, 64, 65, 300, 801, 1024, 1025, 1500] {
+            let tree = FrozenRStarTree::bulk_load(random_items(0xC0FFEE ^ n as u64, n));
+            for (i, q) in queries.iter().enumerate() {
+                let slab: Vec<usize> = tree
+                    .entry_rects
+                    .iter()
+                    .zip(&tree.items)
+                    .filter(|(r, _)| r.intersects(q))
+                    .map(|(_, &id)| id)
+                    .collect();
+                let mut hits: Vec<usize> = Vec::new();
+                tree.for_each_in_with(&mut scratch, q, |_, &id| hits.push(id));
+                assert_eq!(slab, hits, "n={n} query {i}");
+            }
         }
         assert!(scratch.capacity() > 0);
     }
 
-    /// Exact distance from `p` to item `id`'s stored rectangle (dominates
-    /// the bbox lower bound by construction).
-    fn center_distance(tree: &RStarTree<usize>, id: usize, p: Point) -> f64 {
-        let mut rect = None;
-        tree.for_each_in(&tree.bbox(), |r, &i| {
-            if i == id {
-                rect = Some(*r);
-            }
-        });
-        rect.expect("item present").distance_to_point(p)
-    }
-
     #[test]
-    fn within_radius_matches_dynamic() {
-        let tree = random_tree(0xACE, 400);
-        let frozen = tree.clone().freeze();
-        let p = Point::new(450.0, 450.0);
-        let a: Vec<usize> = tree
-            .within_radius(p, 120.0)
+    fn nearest_by_returns_sorted_exact_neighbors() {
+        let tree = FrozenRStarTree::bulk_load(
+            (0..100)
+                .map(|i| {
+                    let p = Point::new((i % 10) as f64 * 10.0, (i / 10) as f64 * 10.0);
+                    (Rect::from_point(p), p)
+                })
+                .collect(),
+        );
+        let probe = Point::new(34.0, 27.0);
+        let got: Vec<f64> = tree
+            .nearest_by(probe, 4, |p| p.distance(probe))
             .iter()
-            .map(|&(_, &i)| i)
-            .collect();
-        let b: Vec<usize> = frozen
-            .within_radius(p, 120.0)
-            .iter()
-            .map(|&(_, &i)| i)
-            .collect();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn bulk_loaded_tree_freezes_identically() {
-        let items: Vec<(Rect, usize)> = (0..2000)
-            .map(|i| {
-                let x = (i % 50) as f64 * 7.0;
-                let y = (i / 50) as f64 * 11.0;
-                (Rect::new(x, y, x + 3.0, y + 3.0), i)
+            .map(|&(d, p)| {
+                assert_eq!(d, p.distance(probe));
+                d
             })
             .collect();
-        let tree = RStarTree::bulk_load(items);
-        let frozen = tree.clone().freeze();
+        let mut all: Vec<f64> = Vec::new();
+        tree.for_each_in(&tree.bbox(), |_, p| all.push(p.distance(probe)));
+        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(got, all[..4]);
+    }
+
+    #[test]
+    fn knn_order_matches_brute_force_exactly() {
+        let items = random_items(0x5EED, 600);
+        let tree = FrozenRStarTree::bulk_load(items.clone());
+        let dist = |id: usize, p: Point| items[id].0.distance_to_point(p);
+        let mut scratch = FrozenNearestScratch::new();
         for probe in 0..30 {
-            let x = probe as f64 * 11.0;
-            let q = Rect::new(x, x, x + 40.0, x + 40.0);
-            let mut a = Vec::new();
-            tree.for_each_in(&q, |_, &i| a.push(i));
-            let mut b = Vec::new();
-            frozen.for_each_in(&q, |_, &i| b.push(i));
-            assert_eq!(a, b, "probe {probe}");
+            let p = Point::new(probe as f64 * 31.0, probe as f64 * 23.0);
+            let got: Vec<f64> = tree
+                .nearest_by_with(&mut scratch, p, 7, |&id| dist(id, p))
+                .iter()
+                .map(|&(d, &id)| {
+                    assert_eq!(d, dist(id, p));
+                    d
+                })
+                .collect();
+            let mut all: Vec<f64> = (0..items.len()).map(|id| dist(id, p)).collect();
+            all.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(got, all[..7], "probe {probe}");
         }
-        assert_eq!(frozen.count_in(&tree.bbox()), 2000);
+        assert!(scratch.capacity() > 0);
+    }
+
+    #[test]
+    fn nearest_by_k_larger_than_len() {
+        let tree =
+            FrozenRStarTree::bulk_load(vec![(pt_rect(0.0, 0.0), 1u8), (pt_rect(1.0, 0.0), 2u8)]);
+        let got = tree.nearest_by(Point::ORIGIN, 10, |&v| v as f64 - 1.0);
+        assert_eq!(got, vec![(0.0, &1), (1.0, &2)]);
+    }
+
+    #[test]
+    fn nearest_by_with_reuses_heap_and_matches_nearest_by() {
+        let tree = FrozenRStarTree::bulk_load(
+            (0..500u32)
+                .map(|i| {
+                    let p = Point::new(((i * 13) % 101) as f64 * 9.0, ((i * 7) % 89) as f64 * 9.0);
+                    (Rect::from_point(p), (i, p))
+                })
+                .collect(),
+        );
+        let mut scratch = FrozenNearestScratch::new();
+        for probe in 0..25 {
+            let p = Point::new(probe as f64 * 37.0, probe as f64 * 29.0);
+            let plain = tree.nearest_by(p, 5, |&(_, q)| q.distance(p));
+            let reused = tree.nearest_by_with(&mut scratch, p, 5, |&(_, q)| q.distance(p));
+            // identical values in the identical order
+            assert_eq!(plain, reused, "probe {probe}");
+        }
+        assert!(scratch.capacity() > 0, "heap buffer retained across calls");
+    }
+
+    #[test]
+    fn within_radius_filters_by_bbox_distance() {
+        let tree =
+            FrozenRStarTree::bulk_load((0..20).map(|i| (pt_rect(i as f64, 0.0), i)).collect());
+        let mut ids: Vec<i32> = tree
+            .within_radius(Point::new(5.0, 0.0), 2.5)
+            .iter()
+            .map(|&(_, &i)| i)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn within_radius_matches_brute_force() {
+        let items = random_items(0xACE, 400);
+        let tree = FrozenRStarTree::bulk_load(items.clone());
+        let p = Point::new(450.0, 450.0);
+        let mut got: Vec<usize> = tree
+            .within_radius(p, 120.0)
+            .iter()
+            .map(|&(_, &i)| i)
+            .collect();
+        let expected: Vec<usize> = items
+            .iter()
+            .filter(|(r, _)| r.distance_to_point(p) <= 120.0)
+            .map(|&(_, i)| i)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn for_each_within_radius_streams_same_set_as_within_radius() {
+        let tree = FrozenRStarTree::bulk_load(
+            (0..200)
+                .map(|i| (pt_rect((i % 20) as f64 * 4.0, (i / 20) as f64 * 4.0), i))
+                .collect(),
+        );
+        let p = Point::new(31.0, 17.0);
+        let collected = tree.within_radius(p, 13.0);
+        let mut streamed = Vec::new();
+        tree.for_each_within_radius(p, 13.0, |r, t| streamed.push((r, t)));
+        assert_eq!(collected, streamed);
+        assert!(!streamed.is_empty());
+    }
+
+    #[test]
+    fn count_in_equals_query_len() {
+        let tree = FrozenRStarTree::bulk_load(
+            (0..300)
+                .map(|i| (pt_rect((i % 20) as f64, (i / 20) as f64), i))
+                .collect(),
+        );
+        let q = Rect::new(3.0, 3.0, 9.0, 9.0);
+        assert_eq!(tree.count_in(&q), tree.query(&q).len());
+        assert_eq!(tree.count_in(&tree.bbox()), 300);
+    }
+
+    #[test]
+    fn bulk_load_large_stays_shallow() {
+        let items: Vec<(Rect, u32)> = (0..100_000)
+            .map(|i| (pt_rect((i % 400) as f64, (i / 400) as f64), i))
+            .collect();
+        let tree = FrozenRStarTree::bulk_load(items);
+        // ceil(log_32(100000/32)) + 1 = 4
+        assert_eq!(tree.height(), 4);
+        assert_eq!(tree.count_in(&tree.bbox()), 100_000);
     }
 
     #[test]
     fn empty_query_yields_nothing() {
-        let tree = random_tree(7, 100);
-        let frozen = tree.freeze();
-        assert!(frozen.query(&Rect::EMPTY).is_empty());
+        let tree = FrozenRStarTree::bulk_load(random_items(7, 100));
+        assert!(tree.query(&Rect::EMPTY).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or non-finite")]
+    fn bulk_load_rejects_empty_rect() {
+        FrozenRStarTree::bulk_load(vec![(Rect::EMPTY, 0u8)]);
+    }
+
+    /// A unit box with one bound replaced; `Rect`'s fields are public, so
+    /// nothing but `bulk_load`'s check stands between such a box and the
+    /// tree.
+    fn unit_box_with(set: impl FnOnce(&mut Rect)) -> Vec<(Rect, u8)> {
+        let mut r = Rect::new(0.0, 0.0, 1.0, 1.0);
+        set(&mut r);
+        vec![(pt_rect(5.0, 5.0), 0), (r, 1)]
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or non-finite")]
+    fn bulk_load_rejects_non_finite_min_x() {
+        FrozenRStarTree::bulk_load(unit_box_with(|r| r.min_x = f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or non-finite")]
+    fn bulk_load_rejects_non_finite_min_y() {
+        FrozenRStarTree::bulk_load(unit_box_with(|r| r.min_y = f64::NEG_INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or non-finite")]
+    fn bulk_load_rejects_non_finite_max_x() {
+        FrozenRStarTree::bulk_load(unit_box_with(|r| r.max_x = f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty or non-finite")]
+    fn bulk_load_rejects_non_finite_max_y() {
+        FrozenRStarTree::bulk_load(unit_box_with(|r| r.max_y = f64::INFINITY));
+    }
+
+    /// FNV-1a over every field of the flat layout: leaf flags, CSR
+    /// ranges, node-box bits, entry-rect bits (and their SoA mirror),
+    /// items, height and bbox.
+    fn layout_digest(t: &FrozenRStarTree<u32>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let rect_bits = |r: &Rect| [r.min_x, r.min_y, r.max_x, r.max_y].map(f64::to_bits);
+        eat(&(t.height as u64).to_le_bytes());
+        eat(&(t.len as u64).to_le_bytes());
+        for b in rect_bits(&t.bbox) {
+            eat(&b.to_le_bytes());
+        }
+        for n in 0..t.leaf.len() {
+            eat(&[t.leaf[n] as u8]);
+            eat(&t.start[n].to_le_bytes());
+            eat(&t.end[n].to_le_bytes());
+            for v in [t.nmin_x[n], t.nmin_y[n], t.nmax_x[n], t.nmax_y[n]] {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        for (i, r) in t.entry_rects.iter().enumerate() {
+            let soa = [t.emin_x[i], t.emin_y[i], t.emax_x[i], t.emax_y[i]].map(f64::to_bits);
+            assert_eq!(soa, rect_bits(r), "SoA mirror of entry {i}");
+            for b in rect_bits(r) {
+                eat(&b.to_le_bytes());
+            }
+            eat(&t.items[i].to_le_bytes());
+        }
+        h
+    }
+
+    /// The digest inputs: random boxes, boxes in columns with duplicate
+    /// x-centres (and repeated y-centres, so the stable sorts decide),
+    /// and zero-area point rects.
+    fn digest_input(kind: usize, n: usize) -> Vec<(Rect, u32)> {
+        let mut next = lcg(0x00D1_6E57 ^ ((n as u64) << 8) ^ kind as u64);
+        (0..n)
+            .map(|i| {
+                let r = match kind {
+                    0 => {
+                        let (x, y) = (next() * 1000.0, next() * 1000.0);
+                        Rect::new(x, y, x + next() * 20.0, y + next() * 20.0)
+                    }
+                    1 => {
+                        let x = (i % 7) as f64 * 10.0;
+                        let y = (next() * 50.0).floor() * 4.0;
+                        Rect::new(x, y, x + 2.0, y + 3.0)
+                    }
+                    _ => Rect::from_point(Point::new(next() * 1000.0, next() * 1000.0)),
+                };
+                (r, i as u32)
+            })
+            .collect()
+    }
+
+    const DIGEST_SIZES: [usize; 8] = [0, 1, 31, 32, 33, 1024, 1025, 5000];
+
+    /// Layout digests of [`digest_input`] per kind (rows) and per
+    /// [`DIGEST_SIZES`] entry (columns). Recorded at commit 062d5ee, the
+    /// last commit that STR-loaded a boxed-node tree and flattened it into
+    /// this layout afterwards; packing straight into the layout must
+    /// reproduce it bit for bit.
+    const RECORDED_DIGESTS: [[u64; 8]; 3] = [
+        [
+            0xf47714e4241a5f7f,
+            0x3d632a1701232300,
+            0x2f6df15d72859c32,
+            0x2763bd50191acaf9,
+            0xbbfca70c75d2b806,
+            0x52b557c2bea09a76,
+            0xa6966c54a3225dfe,
+            0x140c129c3e68e1d8,
+        ],
+        [
+            0xf47714e4241a5f7f,
+            0x58160c2d33ec68b6,
+            0x26c4378ba410eb84,
+            0x93aaefd0cc12656a,
+            0x53c5656c6e156b07,
+            0x53491c5d7e074bc9,
+            0x6298a594d34a5d6e,
+            0x4ca7c279478ef808,
+        ],
+        [
+            0xf47714e4241a5f7f,
+            0x3b1f3c0146dccf91,
+            0xd1722b989987bfce,
+            0x32066cf906526837,
+            0xa4c583ace97046d4,
+            0x4105e51bb2b274bb,
+            0x67185ef004a79427,
+            0xd4c61826974e4db1,
+        ],
+    ];
+
+    #[test]
+    fn bulk_load_layout_matches_recorded_digests() {
+        for (kind, row) in RECORDED_DIGESTS.iter().enumerate() {
+            for (&n, &want) in DIGEST_SIZES.iter().zip(row) {
+                let tree = FrozenRStarTree::bulk_load(digest_input(kind, n));
+                assert_eq!(tree.len(), n);
+                let got = layout_digest(&tree);
+                assert_eq!(got, want, "kind {kind}, n {n}: 0x{got:016x}");
+            }
+        }
     }
 }

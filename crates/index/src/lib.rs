@@ -12,19 +12,18 @@
 //!
 //! Both are implemented here from scratch:
 //!
-//! * [`RStarTree`] — insertion with ChooseSubtree, R\* split
-//!   (axis/index choice by margin and overlap), forced reinsertion at the
-//!   leaf level, range queries, and best-first k-nearest-neighbor search
-//!   with exact user-supplied distances; plus Sort-Tile-Recursive bulk
-//!   loading for the million-cell landuse grids.
+//! * [`FrozenRStarTree`] — a static R\*-tree built in one pass by
+//!   Sort-Tile-Recursive packing ([`FrozenRStarTree::bulk_load`]) straight
+//!   into a flat layout (BFS node arena, CSR child ranges, SoA
+//!   bounding-box arrays, contiguous leaf-entry slab), with range queries
+//!   and best-first k-nearest-neighbor search under exact user-supplied
+//!   distances. Range queries visit hits depth-first in STR child order,
+//!   which is leaf-slab order. The annotation pipeline builds each index
+//!   once per city and reads it millions of times; no source edits a tree
+//!   in place (a map edit publishes a rebuilt generation), so the tree is
+//!   static.
 //! * [`GridIndex`] — a flat uniform grid over point items with
 //!   radius/cell queries.
-//! * [`FrozenRStarTree`] — an immutable cache-packed snapshot of the
-//!   R\*-tree (flat BFS node arena, CSR child ranges, SoA bounding-box
-//!   arrays, contiguous leaf-entry slab) whose range and kNN results are
-//!   bit-identical — values *and* visit order — to the dynamic tree's.
-//!   The annotation pipeline builds each index once per city and reads it
-//!   millions of times, so the frozen snapshot is its only read path.
 //! * [`CellOracle`] — per-grid-cell candidate slabs gathered from a frozen
 //!   tree at build time, so a fixed-radius query becomes a slab lookup.
 
@@ -35,10 +34,8 @@ pub mod frozen;
 pub mod generation;
 pub mod grid;
 pub mod oracle;
-pub mod rstar;
 
 pub use frozen::{FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch};
 pub use generation::{Generation, GenerationHandle, GenerationId};
 pub use grid::GridIndex;
 pub use oracle::CellOracle;
-pub use rstar::{NearestScratch, RStarParams, RStarTree, RangeScratch};

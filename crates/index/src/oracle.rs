@@ -49,11 +49,9 @@ use semitri_geo::{Point, Rect};
 ///
 /// ```
 /// use semitri_geo::{Point, Rect};
-/// use semitri_index::{CellOracle, RStarTree};
+/// use semitri_index::{CellOracle, FrozenRStarTree};
 ///
-/// let mut tree = RStarTree::new();
-/// tree.insert(Rect::new(10.0, 10.0, 20.0, 20.0), 7u32);
-/// let frozen = tree.freeze();
+/// let frozen = FrozenRStarTree::bulk_load(vec![(Rect::new(10.0, 10.0, 20.0, 20.0), 7u32)]);
 /// let oracle = CellOracle::build(&frozen, 50.0, 50.0);
 /// let (rects, items) = oracle.candidates(Point::new(15.0, 15.0)).unwrap();
 /// assert_eq!(items, &[7]);
@@ -323,7 +321,6 @@ impl<T: Copy> CellOracle<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rstar::RStarTree;
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -337,13 +334,14 @@ mod tests {
 
     fn random_frozen(seed: u64, n: usize) -> FrozenRStarTree<usize> {
         let mut next = lcg(seed);
-        let mut tree = RStarTree::new();
-        for id in 0..n {
-            let x = next() * 900.0;
-            let y = next() * 600.0;
-            tree.insert(Rect::new(x, y, x + next() * 25.0, y + next() * 25.0), id);
-        }
-        tree.freeze()
+        let items = (0..n)
+            .map(|id| {
+                let x = next() * 900.0;
+                let y = next() * 600.0;
+                (Rect::new(x, y, x + next() * 25.0, y + next() * 25.0), id)
+            })
+            .collect();
+        FrozenRStarTree::bulk_load(items)
     }
 
     /// The per-point filtered view of the oracle's cell list: the exact
@@ -486,7 +484,7 @@ mod tests {
 
     #[test]
     fn empty_tree_answers_none_everywhere() {
-        let tree: FrozenRStarTree<usize> = RStarTree::new().freeze();
+        let tree: FrozenRStarTree<usize> = FrozenRStarTree::bulk_load(vec![]);
         let oracle = CellOracle::build(&tree, 10.0, 10.0);
         assert!(oracle.candidates(Point::ORIGIN).is_none());
         assert_eq!(oracle.cell_count(), 0);

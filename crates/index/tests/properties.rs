@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use semitri_geo::{Point, Rect};
-use semitri_index::{
-    FrozenNearestScratch, FrozenRangeScratch, GridIndex, RStarParams, RStarTree, RangeScratch,
-};
+use semitri_index::{FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch, GridIndex};
 
 fn rect_strategy() -> impl Strategy<Value = Rect> {
     (
@@ -16,30 +14,69 @@ fn rect_strategy() -> impl Strategy<Value = Rect> {
         .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
 }
 
+/// Box sets whose STR trees have height 1, 2 or 3 (M = 32), one third
+/// of the cases each.
+fn heights_1_to_3() -> impl Strategy<Value = Vec<Rect>> {
+    prop_oneof![
+        proptest::collection::vec(rect_strategy(), 1..=32),
+        proptest::collection::vec(rect_strategy(), 33..=1024),
+        proptest::collection::vec(rect_strategy(), 1025..=2100),
+    ]
+}
+
+fn bulk_load_ids(rects: &[Rect]) -> FrozenRStarTree<usize> {
+    FrozenRStarTree::bulk_load(
+        rects
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(i, r)| (r, i))
+            .collect(),
+    )
+}
+
+/// Addresses of the item references a visit hands out. Items live in one
+/// contiguous slab, so address order is entry-slab order.
+fn addresses(items: &[&usize]) -> Vec<usize> {
+    items.iter().map(|&i| i as *const usize as usize).collect()
+}
+
+fn brute_force_ids(rects: &[Rect], keep: impl Fn(&Rect) -> bool) -> Vec<usize> {
+    (0..rects.len()).filter(|&i| keep(&rects[i])).collect()
+}
+
+fn sorted_ids(items: &[&usize]) -> Vec<usize> {
+    let mut ids: Vec<usize> = items.iter().map(|&&i| i).collect();
+    ids.sort_unstable();
+    ids
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn rtree_query_agrees_with_brute_force(
-        rects in proptest::collection::vec(rect_strategy(), 1..200),
+        rects in proptest::collection::vec(rect_strategy(), 1..300),
         query in rect_strategy(),
     ) {
-        let mut tree = RStarTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-        }
-        tree.check_invariants();
+        let tree = bulk_load_ids(&rects);
+        prop_assert_eq!(tree.len(), rects.len());
+        let got: Vec<&usize> = tree.query(&query).into_iter().map(|(_, i)| i).collect();
+        prop_assert_eq!(sorted_ids(&got), brute_force_ids(&rects, |r| r.intersects(&query)));
+    }
 
-        let mut expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&query))
-            .map(|(i, _)| i)
-            .collect();
-        let mut got: Vec<usize> = tree.query(&query).iter().map(|&(_, &i)| i).collect();
-        expected.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(expected, got);
+    #[test]
+    fn rtree_bulk_load_len_and_bbox_agree_with_brute_force(
+        rects in heights_1_to_3(),
+        query in rect_strategy(),
+    ) {
+        let tree = bulk_load_ids(&rects);
+        prop_assert_eq!(tree.len(), rects.len());
+        let bbox = rects.iter().fold(Rect::EMPTY, |acc, r| acc.union(r));
+        prop_assert_eq!(tree.bbox(), bbox);
+        prop_assert_eq!(tree.count_in(&bbox), rects.len());
+        let got: Vec<&usize> = tree.query(&query).into_iter().map(|(_, i)| i).collect();
+        prop_assert_eq!(sorted_ids(&got), brute_force_ids(&rects, |r| r.intersects(&query)));
     }
 
     #[test]
@@ -47,70 +84,18 @@ proptest! {
         rects in proptest::collection::vec(rect_strategy(), 1..250),
         queries in proptest::collection::vec(rect_strategy(), 1..8),
     ) {
-        // both insertion-built and bulk-loaded trees: the scratch-threaded
-        // iterative traversal must visit the same items in the same order
-        // as the recursive one, with the scratch reused across queries
-        let mut inc = RStarTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            inc.insert(*r, i);
+        // the scratch-threaded traversal must visit the same items in the
+        // same order as the allocating one, with the scratch reused across
+        // queries
+        let tree = bulk_load_ids(&rects);
+        let mut scratch = FrozenRangeScratch::new();
+        for q in &queries {
+            let mut fresh: Vec<usize> = Vec::new();
+            tree.for_each_in(q, |_, &i| fresh.push(i));
+            let mut reused: Vec<usize> = Vec::new();
+            tree.for_each_in_with(&mut scratch, q, |_, &i| reused.push(i));
+            prop_assert_eq!(fresh, reused);
         }
-        let bulk = RStarTree::bulk_load(rects.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect());
-        for tree in [&inc, &bulk] {
-            let mut scratch = RangeScratch::new();
-            for q in &queries {
-                let mut recursive: Vec<usize> = Vec::new();
-                tree.for_each_in(q, |_, &i| recursive.push(i));
-                let mut iterative: Vec<usize> = Vec::new();
-                tree.for_each_in_with(&mut scratch, q, |_, &i| iterative.push(i));
-                prop_assert_eq!(recursive, iterative);
-            }
-        }
-    }
-
-    #[test]
-    fn rtree_bulk_load_agrees_with_incremental(
-        rects in proptest::collection::vec(rect_strategy(), 1..300),
-        query in rect_strategy(),
-    ) {
-        let bulk = RStarTree::bulk_load(rects.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect());
-        bulk.check_invariants();
-        prop_assert_eq!(bulk.len(), rects.len());
-
-        let mut expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&query))
-            .map(|(i, _)| i)
-            .collect();
-        let mut got: Vec<usize> = bulk.query(&query).iter().map(|&(_, &i)| i).collect();
-        expected.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(expected, got);
-    }
-
-    #[test]
-    fn rtree_small_nodes_still_correct(
-        rects in proptest::collection::vec(rect_strategy(), 1..150),
-        query in rect_strategy(),
-    ) {
-        // tiny fan-out stresses splits and reinserts hard
-        let params = RStarParams { max_entries: 4, min_entries: 2, reinsert_count: 1 };
-        let mut tree = RStarTree::with_params(params);
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-        }
-        tree.check_invariants();
-        prop_assert_eq!(tree.len(), rects.len());
-        let mut expected: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&query))
-            .map(|(i, _)| i)
-            .collect();
-        let mut got: Vec<usize> = tree.query(&query).iter().map(|&(_, &i)| i).collect();
-        expected.sort_unstable();
-        got.sort_unstable();
-        prop_assert_eq!(expected, got);
     }
 
     #[test]
@@ -120,11 +105,11 @@ proptest! {
         k in 1usize..8,
     ) {
         let probe = Point::new(probe.0, probe.1);
-        let mut tree = RStarTree::new();
-        for &(x, y) in &pts {
-            let p = Point::new(x, y);
-            tree.insert(Rect::from_point(p), p);
-        }
+        let tree = FrozenRStarTree::bulk_load(
+            pts.iter()
+                .map(|&(x, y)| (Rect::from_point(Point::new(x, y)), Point::new(x, y)))
+                .collect(),
+        );
         let got = tree.nearest_by(probe, k, |q| q.distance(probe));
         let mut dists: Vec<f64> = pts.iter().map(|&(x, y)| Point::new(x, y).distance(probe)).collect();
         dists.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -137,76 +122,50 @@ proptest! {
 
     #[test]
     fn frozen_range_is_result_and_order_identical(
-        rects in proptest::collection::vec(rect_strategy(), 1..250),
+        rects in heights_1_to_3(),
         queries in proptest::collection::vec(rect_strategy(), 1..8),
     ) {
-        // the frozen snapshot must reproduce the dynamic tree's range
-        // results bit for bit — the same items in the same visit order —
-        // for trees built by incremental insert AND by STR bulk load,
-        // including a tree that has seen removals before freezing
-        let mut inc = RStarTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            inc.insert(*r, i);
+        // the slab-order contract: a whole-tree visit walks the entry slab
+        // one item after another, and any query visits its hits in
+        // strictly increasing slab position — exactly the brute-force hits
+        let tree = bulk_load_ids(&rects);
+        let mut all: Vec<&usize> = Vec::new();
+        tree.for_each_in(&tree.bbox(), |_, i| all.push(i));
+        prop_assert_eq!(all.len(), rects.len());
+        for w in addresses(&all).windows(2) {
+            prop_assert_eq!(w[1] - w[0], std::mem::size_of::<usize>());
         }
-        let bulk = RStarTree::bulk_load(
-            rects.iter().cloned().enumerate().map(|(i, r)| (r, i)).collect(),
-        );
-        let mut pruned = inc.clone();
-        for (i, r) in rects.iter().enumerate().step_by(3) {
-            pruned.remove_one(r, |&v| v == i);
-        }
-        for tree in [inc, bulk, pruned] {
-            let frozen = tree.clone().freeze();
-            prop_assert_eq!(frozen.len(), tree.len());
-            prop_assert_eq!(frozen.height(), tree.height());
-            prop_assert_eq!(frozen.bbox(), tree.bbox());
-            let mut scratch = FrozenRangeScratch::new();
-            for q in &queries {
-                let mut dynamic: Vec<usize> = Vec::new();
-                tree.for_each_in(q, |_, &i| dynamic.push(i));
-                let mut snap: Vec<usize> = Vec::new();
-                frozen.for_each_in_with(&mut scratch, q, |_, &i| snap.push(i));
-                prop_assert_eq!(dynamic, snap);
-            }
+        let mut scratch = FrozenRangeScratch::new();
+        for q in &queries {
+            let mut hits: Vec<&usize> = Vec::new();
+            tree.for_each_in_with(&mut scratch, q, |_, i| hits.push(i));
+            prop_assert!(addresses(&hits).windows(2).all(|w| w[0] < w[1]));
+            prop_assert_eq!(sorted_ids(&hits), brute_force_ids(&rects, |r| r.intersects(q)));
         }
     }
 
     #[test]
     fn frozen_knn_is_result_and_order_identical(
-        pts in proptest::collection::vec((-500.0..500.0f64, -500.0..500.0f64), 1..150),
-        probes in proptest::collection::vec((-600.0..600.0f64, -600.0..600.0f64), 1..6),
-        k in 1usize..8,
+        rects in heights_1_to_3(),
+        probes in proptest::collection::vec((-1100.0..1100.0f64, -1100.0..1100.0f64), 1..6),
+        k in 1usize..12,
     ) {
-        // best-first kNN must pop candidates in the same order through the
-        // frozen heap as through the dynamic one — including equal-distance
-        // ties, which both sides break by identical push sequence
-        let mut inc = RStarTree::new();
-        for &(x, y) in &pts {
-            let p = Point::new(x, y);
-            inc.insert(Rect::from_point(p), p);
-        }
-        let bulk = RStarTree::bulk_load(
-            pts.iter()
-                .map(|&(x, y)| (Rect::from_point(Point::new(x, y)), Point::new(x, y)))
-                .collect(),
-        );
-        for tree in [inc, bulk] {
-            let frozen = tree.clone().freeze();
-            let mut scratch = FrozenNearestScratch::new();
-            for &(px, py) in &probes {
-                let probe = Point::new(px, py);
-                let dynamic: Vec<(f64, Point)> = tree
-                    .nearest_by(probe, k, |q| q.distance(probe))
-                    .into_iter()
-                    .map(|(d, &p)| (d, p))
-                    .collect();
-                let snap: Vec<(f64, Point)> = frozen
-                    .nearest_by_with(&mut scratch, probe, k, |q| q.distance(probe))
-                    .into_iter()
-                    .map(|(d, &p)| (d, p))
-                    .collect();
-                prop_assert_eq!(dynamic, snap);
-            }
+        // best-first kNN returns exactly the k smallest brute-force
+        // distances, in ascending order, through a reused heap
+        let tree = bulk_load_ids(&rects);
+        let mut scratch = FrozenNearestScratch::new();
+        for &(px, py) in &probes {
+            let probe = Point::new(px, py);
+            let dist = |&i: &usize| rects[i].distance_to_point(probe);
+            let got: Vec<f64> = tree
+                .nearest_by_with(&mut scratch, probe, k, dist)
+                .into_iter()
+                .map(|(d, _)| d)
+                .collect();
+            let mut expected: Vec<f64> = (0..rects.len()).map(|i| dist(&i)).collect();
+            expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            expected.truncate(k);
+            prop_assert_eq!(got, expected);
         }
     }
 
@@ -216,17 +175,20 @@ proptest! {
         probe in (0.0..1000.0f64, 0.0..1000.0f64),
         radius in 0.0..300.0f64,
     ) {
+        // the streamed and collected radius queries report the brute-force
+        // set, in slab order
         let probe = Point::new(probe.0, probe.1);
-        let mut tree = RStarTree::new();
-        for (i, &(x, y)) in pts.iter().enumerate() {
-            tree.insert(Rect::from_point(Point::new(x, y)), i);
-        }
-        let frozen = tree.clone().freeze();
-        let mut dynamic: Vec<usize> = Vec::new();
-        tree.for_each_within_radius(probe, radius, |_, &i| dynamic.push(i));
-        let mut snap: Vec<usize> = Vec::new();
-        frozen.for_each_within_radius(probe, radius, |_, &i| snap.push(i));
-        prop_assert_eq!(dynamic, snap);
+        let rects: Vec<Rect> = pts.iter().map(|&(x, y)| Rect::from_point(Point::new(x, y))).collect();
+        let tree = bulk_load_ids(&rects);
+        let mut streamed: Vec<&usize> = Vec::new();
+        tree.for_each_within_radius(probe, radius, |_, i| streamed.push(i));
+        let collected: Vec<&usize> = tree.within_radius(probe, radius).into_iter().map(|(_, i)| i).collect();
+        prop_assert_eq!(&streamed, &collected);
+        prop_assert!(addresses(&streamed).windows(2).all(|w| w[0] < w[1]));
+        prop_assert_eq!(
+            sorted_ids(&streamed),
+            brute_force_ids(&rects, |r| r.distance_to_point(probe) <= radius)
+        );
     }
 
     #[test]
@@ -251,45 +213,5 @@ proptest! {
         got.sort_unstable();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn rtree_interleaved_inserts_and_removes_preserve_invariants(
-        rects in proptest::collection::vec(rect_strategy(), 8..120),
-        extra in proptest::collection::vec(rect_strategy(), 1..40),
-    ) {
-        // tiny fan-out so removals condense nodes (and eventually shrink
-        // the root) after only a handful of operations
-        let params = RStarParams { max_entries: 4, min_entries: 2, reinsert_count: 1 };
-        let mut tree = RStarTree::with_params(params);
-        let mut live: Vec<(Rect, usize)> = Vec::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-            live.push((*r, i));
-        }
-        tree.check_invariants();
-
-        // interleave: remove two present items, insert one new, repeat
-        let mut next_id = rects.len();
-        let mut extras = extra.iter();
-        while !live.is_empty() {
-            for _ in 0..2 {
-                let Some((r, id)) = live.pop() else { break };
-                prop_assert_eq!(tree.remove_one(&r, |&v| v == id), Some(id), "item {} missing", id);
-                tree.check_invariants();
-            }
-            if let Some(&r) = extras.next() {
-                tree.insert(r, next_id);
-                live.push((r, next_id));
-                next_id += 1;
-                tree.check_invariants();
-            }
-        }
-
-        // drained through every condense/root-shrink on the way down
-        prop_assert!(tree.is_empty(), "tree still holds {} items", tree.len());
-        tree.check_invariants();
-        // removing from the empty tree is a clean miss
-        prop_assert_eq!(tree.remove_one(&rects[0], |_| true), None);
     }
 }

@@ -77,8 +77,7 @@ pub mod prelude {
     };
     pub use semitri_index::{
         CellOracle, FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch, Generation,
-        GenerationHandle, GenerationId, GridIndex, NearestScratch, RStarParams, RStarTree,
-        RangeScratch,
+        GenerationHandle, GenerationId, GridIndex,
     };
     pub use semitri_obs::{
         CleaningReport, Counter, Gauge, Histogram, HistogramSnapshot, MetricsObserver,
