@@ -20,6 +20,7 @@
 
 use crate::util::{header, Table};
 use semitri::geo::{Segment, SegmentLanes};
+use semitri::index::{CellOracle, FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch};
 use semitri::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -186,15 +187,17 @@ pub fn run(opts: &HotpathOptions) -> bool {
     // The oracle is built over the very frozen tree the other leg walks,
     // with the same 60 m query radius, so both legs answer the identical
     // candidate question on the identical probes — the ratio is purely
-    // slab-lookup vs tree-walk.
-    let frozen_seg_tree = FrozenRStarTree::bulk_load(
-        downtown
-            .roads
-            .segments()
-            .iter()
-            .map(|s| (s.geometry.bbox(), s.id))
-            .collect(),
-    );
+    // slab-lookup vs tree-walk. A slot holds only the segment id; the
+    // oracle leg reads each box from an id-indexed table, as the matcher
+    // derives it from its id-indexed geometry.
+    let seg_boxes: Vec<Rect> = downtown
+        .roads
+        .segments()
+        .iter()
+        .map(|s| s.geometry.bbox())
+        .collect();
+    let frozen_seg_tree =
+        FrozenRStarTree::bulk_load(seg_boxes.iter().copied().zip(0u32..).collect());
     let mut frozen_range_scratch = FrozenRangeScratch::new();
     let seg_oracle = CellOracle::build(&frozen_seg_tree, 60.0, 60.0);
     let arena = OracleArena {
@@ -208,9 +211,8 @@ pub fn run(opts: &HotpathOptions) -> bool {
         let (mut via_oracle, mut via_tree) = (0usize, 0usize);
         for &p in &dense_probes {
             let window = Rect::from_point(p).inflate(60.0);
-            let (rects, items) = seg_oracle.candidates(p).expect("probes are finite");
-            for (r, &id) in rects.iter().zip(items) {
-                if r.intersects(&window) {
+            for &id in seg_oracle.candidates(p).expect("probes are finite") {
+                if seg_boxes[id as usize].intersects(&window) {
                     via_oracle += id as usize & 1;
                 }
             }
@@ -229,9 +231,9 @@ pub fn run(opts: &HotpathOptions) -> bool {
             let mut hits = 0usize;
             for &p in &dense_probes {
                 let window = Rect::from_point(p).inflate(60.0);
-                if let Some((rects, items)) = seg_oracle.candidates(p) {
-                    for (r, &id) in rects.iter().zip(items) {
-                        if r.intersects(&window) {
+                if let Some(items) = seg_oracle.candidates(p) {
+                    for &id in items {
+                        if seg_boxes[id as usize].intersects(&window) {
                             hits += id as usize & 1;
                         }
                     }

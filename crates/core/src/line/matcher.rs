@@ -20,7 +20,7 @@
 
 use semitri_data::road::SegmentId;
 use semitri_data::{GpsRecord, RoadNetwork};
-use semitri_geo::{Point, Rect, SegmentLanes, LANES};
+use semitri_geo::{Point, Rect, Segment, LANES};
 use semitri_index::{CellOracle, FrozenRStarTree};
 use std::sync::Arc;
 
@@ -129,13 +129,6 @@ pub struct MatchScratch {
     /// arena, or one whose oracle was rebuilt (a rebuild always mints a new
     /// matcher, hence a new fingerprint) — is discarded, never replayed.
     oracle_hint: Option<(Rect, u32, u32)>,
-    /// SoA gather of one fix's window-passing candidate geometries, the
-    /// input slab of the batched Eq. 1 lane kernel.
-    seg_lanes: SegmentLanes,
-    /// Candidate segment ids parallel to `seg_lanes`.
-    pending: Vec<SegmentId>,
-    /// Lane-kernel Eq. 1 distances parallel to `pending`.
-    dist_buf: Vec<f64>,
     /// Number of backward-expansion kernel weights recomputed because the
     /// symmetric forward-row cache missed (row evicted from the ring or
     /// the pair beyond the row stride). Every recompute produces the exact
@@ -164,6 +157,17 @@ impl MatchScratch {
     }
 }
 
+/// `g.bbox().intersects(w)` read from the endpoints, bit-equal for every
+/// non-empty `w` (the matcher's `p ± r`): [`Rect::from_points`] is this
+/// min/max, a segment box is never empty, and `<=` treats `±0.0` alike.
+#[inline]
+fn meets_window(g: &Segment, w: &Rect) -> bool {
+    g.a.x.min(g.b.x) <= w.max_x
+        && w.min_x <= g.a.x.max(g.b.x)
+        && g.a.y.min(g.b.y) <= w.max_y
+        && w.min_y <= g.a.y.max(g.b.y)
+}
+
 /// The global map matcher of the Semantic Line Annotation Layer.
 ///
 /// ```
@@ -186,9 +190,12 @@ pub struct GlobalMapMatcher {
     /// Frozen R\*-tree over the segment bounding boxes: the oracle is
     /// gathered from it, and the reference paths query it per fix.
     tree: FrozenRStarTree<SegmentId>,
-    /// Precomputed per-cell candidate slabs: the hot path's only source
-    /// of candidates.
+    /// Precomputed per-cell candidate slabs of segment ids: the hot path's
+    /// only source of candidates.
     oracle: CellOracle<SegmentId>,
+    /// Segment geometry indexed by [`SegmentId`]: the hot path derives each
+    /// candidate's box and Eq. 1 distance from it.
+    geometry: Vec<Segment>,
     params: MatchParams,
     /// Process-unique id keying scratch caches to this matcher instance
     /// (configuration + network + oracle arena), never 0.
@@ -223,12 +230,9 @@ impl GlobalMapMatcher {
             "sigma = {sigma} underflows the Gaussian kernel; \
              increase radius_m or sigma_factor"
         );
-        let items = net
-            .segments()
-            .iter()
-            .map(|s| (s.geometry.bbox(), s.id))
-            .collect();
-        let tree = FrozenRStarTree::bulk_load(items);
+        let geometry: Vec<Segment> = net.segments().iter().map(|s| s.geometry).collect();
+        let tree =
+            FrozenRStarTree::bulk_load(geometry.iter().map(Segment::bbox).zip(0..).collect());
         let r = params.candidate_radius_m;
         // Cells a third of the candidate radius: the per-cell catchment —
         // and with it the slab every fix filters — shrinks from (3r)² to
@@ -241,6 +245,7 @@ impl GlobalMapMatcher {
             net,
             tree,
             oracle,
+            geometry,
             params,
             fingerprint: NEXT_FINGERPRINT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
@@ -267,15 +272,16 @@ impl GlobalMapMatcher {
     /// the Eq. 2 normalization) to the scratch arena.
     ///
     /// The candidate superset is an O(1) CSR slab lookup: the fix's grid
-    /// cell indexes a list gathered at build time by one frozen range
-    /// query over the cell's catchment window, preserved in tree visit
-    /// order. The per-fix pass applies the same `bbox ∩ window(p)`
-    /// prefilter and exact `d ≤ r` test a direct tree query would, on a
-    /// superset list in the same traversal order — so the selected
-    /// candidates and their order are bitwise identical to the tree
-    /// path's. The oracle answers every non-NaN fix (out-of-bounds ones
-    /// clamp into a border cell); a NaN fix locates nowhere and gets no
-    /// candidates, exactly as its NaN window finds none in the tree.
+    /// cell indexes a list of segment ids gathered at build time by one
+    /// frozen range query over the cell's catchment window, in tree visit
+    /// order. One fused pass loads each id's segment, applies the same
+    /// `bbox ∩ window(p)` prefilter ([`meets_window`]) and exact `d ≤ r`
+    /// test a direct tree query would, on a superset list in the same
+    /// order — so the selected candidates and their order are bitwise
+    /// identical to the tree path's. The oracle answers every non-NaN fix
+    /// (out-of-bounds ones clamp into a border cell); a NaN fix locates
+    /// nowhere and gets no candidates, exactly as its NaN window finds
+    /// none in the tree.
     fn push_candidates(&self, scratch: &mut MatchScratch, p: Point) {
         let r = self.params.candidate_radius_m;
         let oracle = &self.oracle;
@@ -301,25 +307,13 @@ impl GlobalMapMatcher {
                 (s, e)
             }
         };
-        let (rects, items) = oracle.slab(s, e);
         let window = Rect::from_point(p).inflate(r);
-        // two passes: gather the window-passing candidates into the SoA
-        // slab in tree order, batch-evaluate Eq. 1 with the lane kernel
-        // (bit-identical per element to `distance_to_point`), then apply
-        // the exact `d <= r` cut in the same order the scalar loop would
-        scratch.pending.clear();
-        scratch.seg_lanes.clear();
-        for (rect, &seg_id) in rects.iter().zip(items) {
-            if !rect.intersects(&window) {
+        for &seg_id in oracle.slab(s, e) {
+            let g = self.geometry[seg_id as usize];
+            if !meets_window(&g, &window) {
                 continue;
             }
-            scratch.pending.push(seg_id);
-            scratch.seg_lanes.push(self.net.segment(seg_id).geometry);
-        }
-        scratch
-            .seg_lanes
-            .distances_to_point(p, &mut scratch.dist_buf);
-        for (&seg_id, &d) in scratch.pending.iter().zip(&scratch.dist_buf) {
+            let d = g.distance_to_point(p);
             if d <= r {
                 scratch.cand_segs.push(seg_id);
                 scratch.cand_scores.push(d);
@@ -382,6 +376,9 @@ impl GlobalMapMatcher {
         // the identical chain, so a cache hit and its recompute are
         // bit-equal
         let kernel_w = |d: f64| (-d * d * inv_two_sigma_sq).exp();
+        // the naive path's `distance < radius` step test, negated: a NaN
+        // distance ends the window where the naive expansion stops
+        let beyond = |d: f64| d.is_nan() || d >= radius;
 
         scratch.slot.resize(self.net.segments().len(), 0);
         scratch.stamp.resize(self.net.segments().len(), 0);
@@ -423,7 +420,7 @@ impl GlobalMapMatcher {
                     scratch.w_buf[k] = scratch.fwd_w[row * stride + off];
                 } else {
                     let d = records[k].point.distance(p0);
-                    if d >= radius {
+                    if beyond(d) {
                         break;
                     }
                     // cache miss (row evicted or pair beyond the stride):
@@ -440,8 +437,9 @@ impl GlobalMapMatcher {
             // radius cut is resolved after the block in ascending order —
             // so the accepted prefix, every distance and every weight stay
             // bit-identical to the one-at-a-time loop, which computed `d`
-            // then broke at the first `d >= radius` exactly like the cut
-            // below. Distances past the cut are speculative and discarded.
+            // then broke at the first distance `beyond` the radius exactly
+            // like the cut below. Distances past the cut are speculative and
+            // discarded.
             let row = i % stride;
             scratch.fwd_owner[row] = i;
             let limit = (n - 1 - i).min(self.params.max_neighbors);
@@ -457,7 +455,7 @@ impl GlobalMapMatcher {
                 }
                 let cut = dbuf[..block]
                     .iter()
-                    .position(|&d| d >= radius)
+                    .position(|&d| beyond(d))
                     .unwrap_or(block);
                 // Eq. 4 weight row for the accepted prefix, as chunked
                 // `(-d²·inv2σ²).exp()` lanes
@@ -528,7 +526,7 @@ impl GlobalMapMatcher {
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .expect("candidates nonempty");
 
-            let snapped = self.net.segment(best_seg).geometry.closest_point(p0);
+            let snapped = self.geometry[best_seg as usize].closest_point(p0);
             out.push(Some(MatchedPoint {
                 segment: best_seg,
                 snapped,
@@ -1094,6 +1092,139 @@ mod tests {
             (-d * d * k).exp()
         };
         assert_eq!(w_fwd.to_bits(), w_bwd.to_bits());
+    }
+
+    #[test]
+    fn nan_neighbours_end_the_window_like_the_naive_path() {
+        // A fix with a NaN coordinate has no candidates, and its NaN
+        // distance to a neighbour must stop the neighbour window in both
+        // directions, as the naive `distance < radius` expansion does; a
+        // NaN weight admitted into the window made the weight sum NaN.
+        let city = semitri_data::City::generate(semitri_data::CityConfig::default());
+        let m = GlobalMapMatcher::new(&city.roads, MatchParams::default());
+        let seg = city.roads.segments()[0].geometry;
+        let track = |nan_at: &dyn Fn(usize) -> bool| -> Vec<GpsRecord> {
+            (0..6)
+                .map(|i| {
+                    let mut p = seg.point_at((i as f64 + 0.5) / 6.0);
+                    if nan_at(i) {
+                        p.x = f64::NAN;
+                    }
+                    GpsRecord::new(p, Timestamp(i as f64))
+                })
+                .collect()
+        };
+        let recs = track(&|i| i == 3);
+        assert_eq!(
+            m.match_records_naive(&recs)
+                .iter()
+                .map(|mm| mm.map(|mm| mm.segment))
+                .collect::<Vec<_>>(),
+            [Some(0), Some(0), Some(0), None, Some(0), Some(0)]
+        );
+        let patterns: [&dyn Fn(usize) -> bool; 5] = [
+            &|i| i == 3,
+            &|i| i == 0,
+            &|i| i == 5,
+            &|i| i % 2 == 0,
+            &|i| i % 2 == 1,
+        ];
+        for (pi, nan_at) in patterns.iter().enumerate() {
+            let recs = track(*nan_at);
+            let got = m.match_records(&recs);
+            assert_eq!(got, m.match_records_naive(&recs), "pattern {pi}");
+            for (i, mm) in got.iter().enumerate() {
+                assert_eq!(mm.is_none(), nan_at(i), "pattern {pi}, fix {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn endpoint_window_test_equals_the_box_test() {
+        // The fused candidate pass tests the window against the segment's
+        // endpoints instead of a stored box; it must agree with
+        // `bbox().intersects` on random segments and on adversarial ones.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let mut segs: Vec<Segment> = (0..400)
+            .map(|_| {
+                let a = Point::new(next() * 200.0 - 100.0, next() * 200.0 - 100.0);
+                let b = Point::new(next() * 200.0 - 100.0, next() * 200.0 - 100.0);
+                Segment::new(a, b)
+            })
+            .collect();
+        let q = [0.0, -0.0, 10.0, -10.0, 60.0, 1e300, -1e300];
+        for &x0 in &q {
+            for &y0 in &q {
+                let a = Point::new(x0, y0);
+                segs.extend([
+                    Segment::new(a, a),                         // zero length
+                    Segment::new(a, Point::new(x0 + 25.0, y0)), // horizontal
+                    Segment::new(a, Point::new(x0, y0 - 25.0)), // vertical
+                    Segment::new(Point::new(-x0, -y0), a),      // ±0.0 mirrors
+                    Segment::new(a, Point::new(f64::NAN, y0)),  // NaN endpoint
+                ]);
+            }
+        }
+        let r = 60.0;
+        let mut probes: Vec<Point> = (0..200)
+            .map(|_| Point::new(next() * 300.0 - 150.0, next() * 300.0 - 150.0))
+            .collect();
+        for &x in &[
+            0.0,
+            -0.0,
+            r,
+            -r,
+            10.0 + r,
+            10.0 - r,
+            70.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            for &y in &[
+                0.0,
+                -0.0,
+                r,
+                -r,
+                -10.0 - r,
+                35.0 + r,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                probes.push(Point::new(x, y));
+            }
+        }
+        let (mut hits, mut misses) = (0usize, 0usize);
+        for p in &probes {
+            let w = Rect::from_point(*p).inflate(r);
+            for g in &segs {
+                let want = g.bbox().intersects(&w);
+                assert_eq!(meets_window(g, &w), want, "segment {g:?} window {w:?}");
+                hits += usize::from(want);
+                misses += usize::from(!want);
+            }
+        }
+        // windows touching a box edge exactly (both ±0.0 spellings)
+        for g in &segs {
+            let b = g.bbox();
+            for w in [
+                Rect::new(b.max_x, b.min_y, b.max_x + 5.0, b.max_y),
+                Rect::new(b.min_x - 5.0, b.max_y, b.min_x, b.max_y + 5.0),
+                Rect::new(-0.0, -0.0, 0.0, 0.0),
+                Rect::new(0.0, 0.0, -0.0, -0.0),
+            ] {
+                assert_eq!(meets_window(g, &w), b.intersects(&w), "{g:?} {w:?}");
+            }
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 
     #[test]

@@ -26,34 +26,55 @@ pub struct MotionFeatures {
 }
 
 /// Computes motion features over a record slice.
+///
+/// [`ModeInferencer::annotate`] computes speeds and accelerations once per
+/// matched slice instead and reads each entry's window as sub-slices; the
+/// features are bit-identical to this per-window call.
 pub fn motion_features(records: &[GpsRecord]) -> MotionFeatures {
     if records.len() < 2 {
         return MotionFeatures::default();
     }
-    let mut speeds: Vec<f64> = records.windows(2).map(|w| w[0].speed_to(&w[1])).collect();
+    let (speeds, accels) = kinematics(records);
+    window_features(&speeds, &accels, &mut Vec::new())
+}
+
+/// Speeds and accelerations of a record slice: `speeds[k]` is records
+/// `k → k+1` and `accels[k]` the change from `speeds[k]` to
+/// `speeds[k + 1]`. Each value depends only on its own records, so the
+/// values of a window `lo..hi` are the sub-slices `speeds[lo..hi - 1]` and
+/// `accels[lo..hi - 2]` of the whole slice's.
+fn kinematics(records: &[GpsRecord]) -> (Vec<f64>, Vec<f64>) {
+    let speeds: Vec<f64> = records.windows(2).map(|w| w[0].speed_to(&w[1])).collect();
+    let accels = (1..speeds.len())
+        .map(|i| {
+            // speeds[i-1] and speeds[i] are means over [i-1,i] and [i,i+1];
+            // the speed change happens between the *midpoints* of those
+            // windows, half the span records[i-1]..records[i+1] — not the
+            // single interval records[i]..records[i+1], which inflates
+            // acceleration whenever sampling is irregular
+            let dt = (records[i + 1].t.since(records[i - 1].t) / 2.0).max(1e-6);
+            ((speeds[i] - speeds[i - 1]) / dt).abs()
+        })
+        .collect();
+    (speeds, accels)
+}
+
+/// Motion features of a window of at least two records, from its
+/// [`kinematics`]; `sorted` is a reused buffer for the order statistics.
+fn window_features(speeds: &[f64], accels: &[f64], sorted: &mut Vec<f64>) -> MotionFeatures {
     let avg_speed = speeds.iter().sum::<f64>() / speeds.len() as f64;
-    let mut accels = Vec::with_capacity(speeds.len().saturating_sub(1));
-    for i in 1..speeds.len() {
-        // speeds[i-1] and speeds[i] are means over [i-1,i] and [i,i+1];
-        // the speed change happens between the *midpoints* of those
-        // windows, half the span records[i-1]..records[i+1] — not the
-        // single interval records[i]..records[i+1], which inflates
-        // acceleration whenever sampling is irregular
-        let dt = (records[i + 1].t.since(records[i - 1].t) / 2.0).max(1e-6);
-        accels.push(((speeds[i] - speeds[i - 1]) / dt).abs());
-    }
     let avg_abs_accel = if accels.is_empty() {
         0.0
     } else {
         accels.iter().sum::<f64>() / accels.len() as f64
     };
-    speeds.sort_by(|a, b| a.partial_cmp(b).expect("finite speeds"));
-    let median = speeds[speeds.len() / 2];
-    let p95 = speeds[((speeds.len() - 1) as f64 * 0.95) as usize];
+    sorted.clear();
+    sorted.extend_from_slice(speeds);
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite speeds"));
     MotionFeatures {
         avg_speed,
-        median_speed: median,
-        p95_speed: p95,
+        median_speed: sorted[sorted.len() / 2],
+        p95_speed: sorted[((sorted.len() - 1) as f64 * 0.95) as usize],
         avg_abs_accel,
     }
 }
@@ -124,6 +145,8 @@ impl ModeInferencer {
     ///
     /// `records` must be the slice the entries' index ranges refer to.
     pub fn annotate(&self, net: &RoadNetwork, records: &[GpsRecord], entries: &mut [RouteEntry]) {
+        let (speeds, accels) = kinematics(records);
+        let mut sorted = Vec::new();
         // raw classification per entry
         let raw: Vec<TransportMode> = entries
             .iter()
@@ -131,7 +154,11 @@ impl ModeInferencer {
                 // widen very short runs so speeds are estimable
                 let lo = e.start.saturating_sub(2);
                 let hi = (e.end + 2).min(records.len());
-                let f = motion_features(&records[lo..hi]);
+                let f = if hi < lo + 2 {
+                    MotionFeatures::default()
+                } else {
+                    window_features(&speeds[lo..hi - 1], &accels[lo..hi - 2], &mut sorted)
+                };
                 let seg = net.segment(e.segment);
                 self.classify(f, seg.class, seg.bus_route)
             })
@@ -222,6 +249,41 @@ mod tests {
             motion_features(&records_at_speed(3.0, 1)),
             MotionFeatures::default()
         );
+    }
+
+    #[test]
+    fn window_features_are_bit_identical_to_motion_features() {
+        // irregular sampling and speeds, every window of a 40-record slice
+        let mut state = 0xA5_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let (mut x, mut t) = (0.0, 0.0);
+        let records: Vec<GpsRecord> = (0..40)
+            .map(|_| {
+                x += next() * 25.0;
+                t += 0.5 + next() * 9.0;
+                GpsRecord::new(Point::new(x, next() * 3.0), Timestamp(t))
+            })
+            .collect();
+        let (speeds, accels) = kinematics(&records);
+        let bits = |f: MotionFeatures| {
+            [f.avg_speed, f.median_speed, f.p95_speed, f.avg_abs_accel].map(f64::to_bits)
+        };
+        let mut sorted = Vec::new();
+        for lo in 0..records.len() {
+            for hi in lo + 2..=records.len() {
+                let got = window_features(&speeds[lo..hi - 1], &accels[lo..hi - 2], &mut sorted);
+                assert_eq!(
+                    bits(got),
+                    bits(motion_features(&records[lo..hi])),
+                    "{lo}..{hi}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl PoiObservationModel {
         // winner, so fall through to the real heap for bitwise identity.
         // A NaN stop locates no cell: its distances compare as neither
         // near nor far, so only the heap reproduces the heap's answer.
-        if let Some((_, items)) = self.oracle.candidates(p) {
+        if let Some(items) = self.oracle.candidates(p) {
             let mut best: Option<(f64, u64, u32)> = None;
             let mut tied = false;
             for &(q, id, idx, c) in items {

@@ -2,11 +2,13 @@
 
 use proptest::prelude::*;
 use semitri_core::line::baseline::{BaselineMetric, NearestSegmentMatcher};
+use semitri_core::line::mode::motion_features;
+use semitri_core::line::RouteEntry;
 use semitri_core::point::hmm::Hmm;
-use semitri_core::{GlobalMapMatcher, MatchParams, MatchScratch};
+use semitri_core::{GlobalMapMatcher, MatchParams, MatchScratch, ModeInferencer};
 use semitri_data::road::RoadClass;
 use semitri_data::{GpsRecord, RoadNetwork};
-use semitri_geo::{Point, Timestamp};
+use semitri_geo::{Point, TimeSpan, Timestamp};
 
 /// A small random road network: a chain plus random chords (always
 /// connected, no zero-length edges).
@@ -245,5 +247,52 @@ proptest! {
         let (bpath, blp) = hmm.brute_force(&b).unwrap();
         prop_assert!((lp - blp).abs() < 1e-9);
         prop_assert_eq!(path, bpath);
+    }
+
+    #[test]
+    fn mode_annotate_equals_per_entry_motion_features(
+        net in network_strategy(),
+        steps in proptest::collection::vec((0.0..30.0f64, -1.0..1.0f64, 0.5..12.0f64), 1..60),
+        runs in proptest::collection::vec((1usize..5, 0usize..64), 1..30),
+        car in 0u8..2,
+    ) {
+        // irregular sampling at walking to driving speeds, cut into entries
+        // of 1–4 records (the short ones widen to their ±2 neighbours)
+        let (mut x, mut y, mut t) = (0.0, 0.0, 0.0);
+        let records: Vec<GpsRecord> = steps
+            .iter()
+            .map(|&(step, dy, dt)| {
+                x += step;
+                y += dy * step;
+                t += dt;
+                GpsRecord::new(Point::new(x, y), Timestamp(t))
+            })
+            .collect();
+        let mut entries = Vec::new();
+        let mut start = 0;
+        for &(len, seg) in &runs {
+            let end = (start + len).min(records.len());
+            if start == end {
+                break;
+            }
+            entries.push(RouteEntry {
+                segment: (seg % net.segments().len()) as u32,
+                span: TimeSpan::new(records[start].t, records[end - 1].t),
+                start,
+                end,
+                mode: None,
+            });
+            start = end;
+        }
+        // no smoothing: each entry keeps its raw classification
+        let inferencer = ModeInferencer { allow_car: car == 1, smoothing_half_width: 0 };
+        inferencer.annotate(&net, &records, &mut entries);
+        for e in &entries {
+            let lo = e.start.saturating_sub(2);
+            let hi = (e.end + 2).min(records.len());
+            let seg = net.segment(e.segment);
+            let want = inferencer.classify(motion_features(&records[lo..hi]), seg.class, seg.bus_route);
+            prop_assert_eq!(e.mode, Some(want), "entry {}..{}", e.start, e.end);
+        }
     }
 }

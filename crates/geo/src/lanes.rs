@@ -1,13 +1,17 @@
 //! Fixed-width lane-wise kernels for the hot annotation loops.
 //!
-//! The map-matching layer evaluates the paper's Equation (1) point–segment
-//! distance once per candidate per GPS fix. The loop is pure element-wise
-//! arithmetic, so instead of calling [`Segment`] methods one candidate at
-//! a time this module restructures it into fixed-width chunked passes
+//! The paper's Equation (1) point–segment distance is pure element-wise
+//! arithmetic, so instead of calling [`Segment`] methods one segment at a
+//! time this module restructures it into fixed-width chunked passes
 //! over structure-of-arrays coordinate lanes: each 8-wide
 //! chunk is a `[f64; 8]` subslice processed by a branchless body that the
 //! stable-Rust autovectorizer can lower to packed SIMD, with a scalar
 //! remainder tail.
+//!
+//! No production path calls it: the map matcher sees about three
+//! candidates per fix, too few to fill a chunk, and evaluates
+//! [`Segment::distance_to_point`] inside its fused candidate pass. The
+//! `hotpath` bench keeps the kernel's row against the scalar reference.
 //!
 //! # Bit-identity contract
 //!
@@ -15,10 +19,9 @@
 //! arithmetic of the scalar reference it replaces, in the same order, with
 //! no reassociation: chunking only changes which elements are in flight
 //! together, never the expression evaluated for any one element. The
-//! property tests in this module (and the matcher's oracle tests) enforce
-//! bit-identity against [`Segment::distance_to_point`] /
-//! [`Segment::distance_sq_to_point`] across chunk widths, slab lengths and
-//! remainder tails.
+//! property tests in this module enforce bit-identity against
+//! [`Segment::distance_to_point`] / [`Segment::distance_sq_to_point`]
+//! across chunk widths, slab lengths and remainder tails.
 
 use crate::point::Point;
 use crate::segment::Segment;
@@ -31,10 +34,9 @@ pub const LANES: usize = 8;
 /// A structure-of-arrays slab of segments, the input layout of the batched
 /// point–segment distance kernel.
 ///
-/// The matcher gathers one candidate slab per GPS fix into a reused
-/// `SegmentLanes` scratch (endpoint coordinates split into four coordinate
-/// lanes), then evaluates Equation (1) for the whole slab in one chunked
-/// pass instead of one [`Segment::distance_to_point`] call per candidate.
+/// Endpoint coordinates split into four coordinate lanes; Equation (1)
+/// for the whole slab runs in one chunked pass instead of one
+/// [`Segment::distance_to_point`] call per segment.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentLanes {
     ax: Vec<f64>,

@@ -10,19 +10,22 @@
 //! * a uniform grid is laid over the frozen tree's bounding box;
 //! * for each cell, the frozen tree is queried once with the cell's
 //!   *catchment window* — the cell rectangle inflated by the query
-//!   radius — and the hits are appended to one contiguous slab;
+//!   radius — and the hit items are appended to one contiguous slab;
 //! * cells index the slab through CSR `u32` offsets, so a lookup is two
 //!   loads and a slice.
+//!
+//! A slot is the item alone: readers derive its box from the item (the
+//! matcher from the segment its id indexes, the POI model from its point).
 //!
 //! **Order identity.** Each per-cell list is gathered by a single frozen
 //! range query, so it preserves the tree's depth-first visit order. For a
 //! point `p` in the cell, the per-point window `p ± r` is contained in
 //! the catchment window, and an entry's box intersecting the sub-window
 //! implies every ancestor box does too — so filtering the cell list with
-//! the per-point `bbox ∩ window(p)` test yields *exactly* the entries a
-//! direct per-point tree query would visit, in the same order. Readers
-//! that apply that filter (the map matcher does) are bitwise
-//! result-identical to the tree path; the unit tests and the core
+//! the per-point `bbox ∩ window(p)` test, on the item's own box, yields
+//! *exactly* the entries a direct per-point tree query would visit, in the
+//! same order. Readers that apply that filter (the map matcher does) are
+//! bitwise result-identical to the tree path; the unit tests and the core
 //! property suite assert it.
 //!
 //! **Unbounded border cells.** Real feeds contain fixes outside the
@@ -53,9 +56,9 @@ use semitri_geo::{Point, Rect};
 ///
 /// let frozen = FrozenRStarTree::bulk_load(vec![(Rect::new(10.0, 10.0, 20.0, 20.0), 7u32)]);
 /// let oracle = CellOracle::build(&frozen, 50.0, 50.0);
-/// let (rects, items) = oracle.candidates(Point::new(15.0, 15.0)).unwrap();
-/// assert_eq!(items, &[7]);
-/// assert_eq!(rects[0], Rect::new(10.0, 10.0, 20.0, 20.0));
+/// assert_eq!(oracle.candidates(Point::new(15.0, 15.0)).unwrap(), &[7]);
+/// // one 4-byte slot per item: the reader derives the box from the item
+/// assert_eq!(oracle.arena_bytes(), 4 * (oracle.cell_count() + 1) + 4 * oracle.slot_count());
 /// // far outside the bounds: clamped into a border cell, still answered
 /// assert!(oracle.candidates(Point::new(5_000.0, 5_000.0)).is_some());
 /// assert!(oracle.candidates(Point::new(f64::NAN, 5.0)).is_none());
@@ -70,19 +73,17 @@ pub struct CellOracle<T> {
     query_radius: f64,
     nx: usize,
     ny: usize,
-    /// CSR offsets into the slabs, `nx * ny + 1` entries (row-major
+    /// CSR offsets into the slab, `nx * ny + 1` entries (row-major
     /// cells); `offsets[c]..offsets[c + 1]` is cell `c`'s slice.
     offsets: Vec<u32>,
-    /// Entry rectangles, one contiguous slab (cell after cell), in the
-    /// frozen tree's depth-first visit order per cell.
-    rects: Vec<Rect>,
-    /// Entry items, parallel to `rects`.
+    /// Entry items, one contiguous slab (cell after cell), in the frozen
+    /// tree's depth-first visit order per cell.
     items: Vec<T>,
 }
 
 impl<T: Copy> CellOracle<T> {
     /// Materializes the oracle: one frozen range query per grid cell,
-    /// appended into the CSR slabs.
+    /// appended into the CSR slab.
     ///
     /// `cell_size` is the grid pitch, `query_radius` the per-point window
     /// radius the readers will filter with (each catchment window is the
@@ -112,7 +113,6 @@ impl<T: Copy> CellOracle<T> {
                 nx: 0,
                 ny: 0,
                 offsets: vec![0],
-                rects: Vec::new(),
                 items: Vec::new(),
             };
         }
@@ -141,7 +141,7 @@ impl<T: Copy> CellOracle<T> {
             }
             cat.inflate(pad)
         };
-        // Size the slabs exactly before filling them, so each is one
+        // Size the slab exactly before filling it, so it is one
         // allocation (growing by doubling left every outgrown buffer behind
         // in the heap, once per live publish). A catchment is a product of
         // an x interval that depends only on the column and a y interval
@@ -181,12 +181,10 @@ impl<T: Copy> CellOracle<T> {
         );
         let mut offsets = Vec::with_capacity(nx * ny + 1);
         offsets.push(0u32);
-        let mut rects = Vec::with_capacity(slots);
         let mut items = Vec::with_capacity(slots);
         for row in 0..ny {
             for col in 0..nx {
-                tree.for_each_in_with(&mut stack, &catchment(col, row), |r, t| {
-                    rects.push(*r);
+                tree.for_each_in_with(&mut stack, &catchment(col, row), |_, t| {
                     items.push(*t);
                 });
                 offsets.push(items.len() as u32);
@@ -200,7 +198,6 @@ impl<T: Copy> CellOracle<T> {
             nx,
             ny,
             offsets,
-            rects,
             items,
         }
     }
@@ -264,21 +261,21 @@ impl<T: Copy> CellOracle<T> {
         (self.offsets[cell], self.offsets[cell + 1])
     }
 
-    /// The slab slices for a range previously returned by
+    /// The slab slice for a range previously returned by
     /// [`CellOracle::range`].
     #[inline]
-    pub fn slab(&self, start: u32, end: u32) -> (&[Rect], &[T]) {
-        let (s, e) = (start as usize, end as usize);
-        (&self.rects[s..e], &self.items[s..e])
+    pub fn slab(&self, start: u32, end: u32) -> &[T] {
+        &self.items[start as usize..end as usize]
     }
 
     /// The candidate list serving `p`: every item of the frozen tree
-    /// whose box intersects `p ± query_radius` is in the returned slices
-    /// (a superset, in tree visit order — filter with the per-point
-    /// window to reproduce a direct query exactly). [`None`] only for a NaN
-    /// point or an empty oracle, where a direct query finds nothing too.
+    /// whose box intersects `p ± query_radius` is in the returned slice
+    /// (a superset, in tree visit order — filter each item's box with the
+    /// per-point window to reproduce a direct query exactly). [`None`] only
+    /// for a NaN point or an empty oracle, where a direct query finds
+    /// nothing too.
     #[inline]
-    pub fn candidates(&self, p: Point) -> Option<(&[Rect], &[T])> {
+    pub fn candidates(&self, p: Point) -> Option<&[T]> {
         let cell = self.locate(p)?;
         let (s, e) = self.range(cell);
         Some(self.slab(s, e))
@@ -300,12 +297,11 @@ impl<T: Copy> CellOracle<T> {
         self.query_radius
     }
 
-    /// Heap bytes of the arena (CSR offsets + both slabs) — the memory
+    /// Heap bytes of the arena (CSR offsets + the item slab) — the memory
     /// half of the memory/throughput trade, reported by the hotpath
     /// bench.
     pub fn arena_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
-            + self.rects.len() * std::mem::size_of::<Rect>()
             + self.items.len() * std::mem::size_of::<T>()
     }
 
@@ -332,29 +328,38 @@ mod tests {
         }
     }
 
-    fn random_frozen(seed: u64, n: usize) -> FrozenRStarTree<usize> {
+    /// `n` random boxes and a frozen tree over them, item `id` = the box's
+    /// index in the table (the way the matcher's segment ids index its
+    /// geometry table).
+    fn random_frozen(seed: u64, n: usize) -> (Vec<Rect>, FrozenRStarTree<usize>) {
         let mut next = lcg(seed);
-        let items = (0..n)
-            .map(|id| {
+        let rects: Vec<Rect> = (0..n)
+            .map(|_| {
                 let x = next() * 900.0;
                 let y = next() * 600.0;
-                (Rect::new(x, y, x + next() * 25.0, y + next() * 25.0), id)
+                Rect::new(x, y, x + next() * 25.0, y + next() * 25.0)
             })
             .collect();
-        FrozenRStarTree::bulk_load(items)
+        let tree = FrozenRStarTree::bulk_load(rects.iter().copied().zip(0..).collect());
+        (rects, tree)
     }
 
-    /// The per-point filtered view of the oracle's cell list: the exact
-    /// sequence a reader on the hot path produces.
-    fn filtered(oracle: &CellOracle<usize>, p: Point, r: f64) -> Option<Vec<usize>> {
-        let (rects, items) = oracle.candidates(p)?;
+    /// The per-point filtered view of the oracle's cell list, each item's
+    /// box read from the table it indexes: the exact sequence a reader on
+    /// the hot path produces.
+    fn filtered(
+        oracle: &CellOracle<usize>,
+        rects: &[Rect],
+        p: Point,
+        r: f64,
+    ) -> Option<Vec<usize>> {
+        let items = oracle.candidates(p)?;
         let window = Rect::from_point(p).inflate(r);
         Some(
-            rects
+            items
                 .iter()
-                .zip(items)
-                .filter(|(rect, _)| rect.intersects(&window))
-                .map(|(_, &id)| id)
+                .copied()
+                .filter(|&id| rects[id].intersects(&window))
                 .collect(),
         )
     }
@@ -370,14 +375,14 @@ mod tests {
 
     #[test]
     fn freeze_order_identity_on_random_probes() {
-        let tree = random_frozen(0xF00D, 700);
+        let (rects, tree) = random_frozen(0xF00D, 700);
         for &radius in &[20.0, 60.0, 130.0] {
             let oracle = CellOracle::build(&tree, radius, radius);
             let mut next = lcg(0xCAFE);
             let mut nonempty = 0usize;
             for _ in 0..300 {
                 let p = Point::new(next() * 1_000.0 - 50.0, next() * 700.0 - 50.0);
-                let got = filtered(&oracle, p, radius).expect("finite probe");
+                let got = filtered(&oracle, &rects, p, radius).expect("finite probe");
                 let want = tree_query(&tree, p, radius);
                 assert_eq!(got, want, "probe {p:?} radius {radius}");
                 nonempty += usize::from(!want.is_empty());
@@ -388,13 +393,13 @@ mod tests {
 
     #[test]
     fn cell_size_decoupled_from_query_radius_stays_identical() {
-        let tree = random_frozen(0xA11CE, 400);
+        let (rects, tree) = random_frozen(0xA11CE, 400);
         let oracle = CellOracle::build(&tree, 37.0, 80.0);
         let mut next = lcg(7);
         for _ in 0..200 {
             let p = Point::new(next() * 950.0, next() * 650.0);
             assert_eq!(
-                filtered(&oracle, p, 80.0).unwrap(),
+                filtered(&oracle, &rects, p, 80.0).unwrap(),
                 tree_query(&tree, p, 80.0)
             );
         }
@@ -437,7 +442,7 @@ mod tests {
         // on the clamp), just inside and outside them, a million meters
         // out, at ±1e300 and at ±∞. NaN locates nowhere, and the tree
         // finds nothing for it either.
-        let tree = random_frozen(0xB0DE, 500);
+        let (rects, tree) = random_frozen(0xB0DE, 500);
         let b = tree.bbox();
         let r = 60.0;
         let oracle = CellOracle::build(&tree, r, r);
@@ -446,7 +451,7 @@ mod tests {
             for &y in &axis_probes(b.min_y, b.max_y, r) {
                 let p = Point::new(x, y);
                 let want = tree_query(&tree, p, r);
-                match filtered(&oracle, p, r) {
+                match filtered(&oracle, &rects, p, r) {
                     Some(got) => assert_eq!(got, want, "probe {p:?}"),
                     None => {
                         assert!(x.is_nan() || y.is_nan(), "finite probe {p:?} refused");
@@ -461,7 +466,7 @@ mod tests {
 
     #[test]
     fn hint_rect_serves_the_same_slab() {
-        let tree = random_frozen(0x51DE, 300);
+        let (_, tree) = random_frozen(0x51DE, 300);
         let oracle = CellOracle::build(&tree, 45.0, 45.0);
         let mut next = lcg(99);
         for _ in 0..200 {
@@ -474,10 +479,7 @@ mod tests {
             // locates to a cell whose slab filters identically
             if p.x >= rect.min_x && p.x < rect.max_x && p.y >= rect.min_y && p.y < rect.max_y {
                 let (s, e) = oracle.range(cell);
-                let (rects, items) = oracle.slab(s, e);
-                let (r2, i2) = oracle.candidates(p).unwrap();
-                assert_eq!(rects.len(), r2.len());
-                assert_eq!(items, i2);
+                assert_eq!(oracle.slab(s, e), oracle.candidates(p).unwrap());
             }
         }
     }
@@ -495,12 +497,13 @@ mod tests {
 
     #[test]
     fn memory_report_is_consistent() {
-        let tree = random_frozen(3, 250);
+        let (_, tree) = random_frozen(3, 250);
         let oracle = CellOracle::build(&tree, 60.0, 60.0);
         assert!(oracle.cell_count() > 0);
         assert!(oracle.slot_count() >= tree.len());
-        let expected = oracle.offsets.len() * 4
-            + oracle.slot_count() * (std::mem::size_of::<Rect>() + std::mem::size_of::<usize>());
+        // a slot is the item alone: 4 bytes per offset, one item per slot
+        let expected =
+            4 * (oracle.cell_count() + 1) + std::mem::size_of::<usize>() * oracle.slot_count();
         assert_eq!(oracle.arena_bytes(), expected);
         assert!(oracle.bytes_per_cell() > 0.0);
     }

@@ -75,10 +75,7 @@ pub mod prelude {
         PointAnnotator, Preprocessor, PublishOutcome, RegionAnnotator, SeMiTri, SemanticTuple,
         SemitriError, StageSummary, StructuredSemanticTrajectory,
     };
-    pub use semitri_index::{
-        CellOracle, FrozenNearestScratch, FrozenRStarTree, FrozenRangeScratch, Generation,
-        GenerationHandle, GenerationId, GridIndex,
-    };
+    pub use semitri_index::{Generation, GenerationHandle, GenerationId};
     pub use semitri_obs::{
         CleaningReport, Counter, Gauge, Histogram, HistogramSnapshot, MetricsObserver,
         MetricsRegistry, MetricsSnapshot, NullObserver, PipelineObserver, Stage,
