@@ -1,7 +1,8 @@
 //! The `store.*` metric schema reported by `semitri-store`.
 //!
 //! The columnar store keeps its own lock-free counters (blocks written,
-//! bytes before/after compression, block-skip hit rates, query counts);
+//! bytes before/after compression, time-window block-skip hit rates,
+//! rect-window candidates and hits, query counts);
 //! [`StoreMetrics`] mirrors that state into a [`MetricsRegistry`] so a
 //! `/metrics` scrape shows the storage engine next to the `stage.*` and
 //! `server.*` schemas. Storage state is *published* (gauges set, and the
@@ -42,10 +43,18 @@ pub struct StoreMetrics {
     pub rect_queries: Arc<Counter>,
     /// `store.olap_queries` — warehouse aggregate scans served.
     pub olap_queries: Arc<Counter>,
-    /// `store.ep_blocks_checked` — episode blocks examined by queries.
+    /// `store.ep_blocks_checked` — episode blocks examined by time-window
+    /// queries (rect windows go through the lattice index instead).
     pub ep_blocks_checked: Arc<Gauge>,
-    /// `store.ep_blocks_skipped` — blocks skipped via min/max summaries.
+    /// `store.ep_blocks_skipped` — blocks time-window queries skipped via
+    /// their `t_min`/`t_max` summaries.
     pub ep_blocks_skipped: Arc<Gauge>,
+    /// `store.rect_candidates` — rows the lattice index listed as
+    /// rect-window candidates.
+    pub rect_candidates: Arc<Gauge>,
+    /// `store.rect_hits` — rect-window candidates that intersected the
+    /// window.
+    pub rect_hits: Arc<Gauge>,
     /// `store.log_bytes` — durable log size (0 when in-memory).
     pub log_bytes: Arc<Gauge>,
     /// `store.syncs` — fsync-family calls the durable log has issued.
@@ -57,7 +66,7 @@ pub struct StoreMetrics {
 
 impl StoreMetrics {
     /// Every gauge name in the schema, in report order.
-    pub const GAUGES: [&'static str; 13] = [
+    pub const GAUGES: [&'static str; 15] = [
         "store.trajectories",
         "store.episodes",
         "store.ssts",
@@ -70,6 +79,8 @@ impl StoreMetrics {
         "store.label_bits",
         "store.ep_blocks_checked",
         "store.ep_blocks_skipped",
+        "store.rect_candidates",
+        "store.rect_hits",
         "store.log_bytes",
     ];
 
@@ -104,6 +115,8 @@ impl StoreMetrics {
             olap_queries: registry.counter("store.olap_queries"),
             ep_blocks_checked: registry.gauge("store.ep_blocks_checked"),
             ep_blocks_skipped: registry.gauge("store.ep_blocks_skipped"),
+            rect_candidates: registry.gauge("store.rect_candidates"),
+            rect_hits: registry.gauge("store.rect_hits"),
             log_bytes: registry.gauge("store.log_bytes"),
             syncs: registry.counter("store.syncs"),
             query_secs: registry.histogram("store.query_secs"),

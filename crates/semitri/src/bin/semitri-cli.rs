@@ -700,7 +700,8 @@ fn run() -> Result<(), ExitCode> {
             }
             let m = store.metrics();
             println!(
-                "scan stats: {} fixes at {:.2} bytes/fix, {} live tuples, block-skip rate {:.0}%",
+                "scan stats: {} fixes at {:.2} bytes/fix, {} live tuples, \
+                 time-window block-skip rate {:.0}%",
                 m.fix_count,
                 m.bytes_per_fix(),
                 m.live_tuples,

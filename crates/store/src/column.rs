@@ -7,6 +7,37 @@
 
 use std::io::{self, Read};
 
+/// Multiplicative hasher for fixed-width integer keys: the matrix's
+/// `(place_id, label_code)` dictionary and the rect index's cell
+/// coordinates. SipHash on such keys costs more than the work the lookup
+/// serves, and these keys need no DoS resistance.
+#[derive(Default)]
+pub(crate) struct FixedHasher(u64);
+
+impl std::hash::Hasher for FixedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 ^= self.0 >> 32;
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+}
+
+/// Builds [`FixedHasher`]s for `HashMap`s.
+pub(crate) type BuildFixedHasher = std::hash::BuildHasherDefault<FixedHasher>;
+
 /// Maps a signed value onto an unsigned one with small magnitudes staying
 /// small (`0, -1, 1, -2, … → 0, 1, 2, 3, …`).
 #[inline]

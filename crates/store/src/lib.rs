@@ -17,11 +17,13 @@
 //! * [`matrix`] — the compressed semantic matrix: per-layer label
 //!   dictionaries with labels bitpacked at ⌈log₂|dict|⌉ bits in
 //!   contiguous per-layer streams;
+//! * [`lattice`] — the multi-level posting index that answers rect
+//!   windows in storage order, touching only candidate rows;
 //! * [`olap`] — warehouse aggregate types plus [`olap::RowStore`], the
 //!   retained row-walk path used as proptest oracle;
 //! * [`store`] — the [`SemanticTrajectoryStore`] over all of the above:
-//!   trajectory metadata, episode columns with block-skipping time /
-//!   spatial queries, compressed fixes and semantic layers, OLAP
+//!   trajectory metadata, one-line episode rows with block-skipping time
+//!   windows and lattice-indexed rect windows, compressed fixes and semantic layers, OLAP
 //!   aggregates, an in-memory mode, and a *durable* mode that appends
 //!   every write to a synced log file — the realistic write cost behind
 //!   the storage bars of Fig. 17;
@@ -35,6 +37,7 @@ pub mod codec;
 pub mod column;
 pub mod export;
 pub mod fixcol;
+pub mod lattice;
 pub mod matrix;
 pub mod olap;
 pub mod store;

@@ -5,9 +5,12 @@
 //! Each annotation layer has a fixed dictionary — transport mode, road
 //! class, landuse category, POI activity, episode kind, place kind —
 //! and stores one label per semantic tuple at `⌈log₂(|dict|+1)⌉` bits
-//! (code 0 = "no label") in a contiguous [`PackedVec`] stream. Spans,
-//! record counts and place ids ride along as plain columns aligned with
-//! the streams; place labels are dictionary-encoded store-wide.
+//! (code 0 = "no label") in a contiguous [`PackedVec`] stream. Three
+//! plain columns ride along, aligned with the streams: the hour of day of
+//! each tuple's start (one byte, bucketed once at insert), its record
+//! count, and a dense code into a store-wide `(place id, label)`
+//! dictionary, so the aggregates neither redo the hour arithmetic nor hash
+//! per tuple.
 //!
 //! Trajectories append as contiguous *segments* of the streams. An SST
 //! overwrite appends a fresh segment and tombstones the old one (the
@@ -18,7 +21,7 @@
 //! queries stay *exactly* equal to a row walk, even on degenerate
 //! inputs.
 
-use crate::column::PackedVec;
+use crate::column::{BuildFixedHasher, PackedVec};
 use crate::olap::{hour_of, rank_poi_visits, LanduseHourCounts, ModeShareByClass, PoiVisit};
 use crate::AnnotationStats;
 use semitri_core::model::{
@@ -48,7 +51,8 @@ pub const LABEL_BITS_PER_TUPLE: u32 =
 /// Number of annotation layers the matrix stacks.
 pub const LAYER_COUNT: usize = 6;
 
-const LABEL_NONE: u32 = u32::MAX;
+/// Place code of a tuple without a place.
+const PLACE_NONE: u32 = u32::MAX;
 
 /// Per-tuple layer row: the labels that come from outside the SST
 /// itself (episode kind, matched road class, dominant landuse) plus the
@@ -122,36 +126,6 @@ struct Segment {
 const OVERFLOW_MODE: u8 = 0;
 const OVERFLOW_ACTIVITY: u8 = 1;
 
-/// Multiplicative hasher for the fixed-width `(place_id, label_code)`
-/// POI keys. The visit-rank scan increments a hot map entry per stop
-/// tuple; SipHash on a 12-byte key costs more than the whole bitpacked
-/// filter, and these keys need no DoS resistance.
-#[derive(Default)]
-struct PlaceHasher(u64);
-
-impl std::hash::Hasher for PlaceHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 ^= self.0 >> 32;
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-}
-
-type BuildPlaceHasher = std::hash::BuildHasherDefault<PlaceHasher>;
-
 /// The compressed semantic matrix.
 #[derive(Debug)]
 pub struct SemanticMatrix {
@@ -161,11 +135,14 @@ pub struct SemanticMatrix {
     landuse: PackedVec,
     activity: PackedVec,
     place_kind: PackedVec,
-    span_start: Vec<f64>,
-    span_end: Vec<f64>,
+    /// Hour of day of each tuple's start, as [`hour_of`] buckets it.
+    hour: Vec<u8>,
     records: Vec<u32>,
-    place_id: Vec<u64>,
-    place_label: Vec<u32>,
+    /// Per-tuple code into `places` ([`PLACE_NONE`] without a place).
+    place: Vec<u32>,
+    /// The `(place_id, label code)` dictionary, in first-seen order.
+    places: Vec<(u64, u32)>,
+    place_codes: HashMap<(u64, u32), u32, BuildFixedHasher>,
     labels: Vec<String>,
     label_ids: HashMap<String, u32>,
     segments: Vec<Segment>,
@@ -190,11 +167,11 @@ impl SemanticMatrix {
             landuse: PackedVec::new(LANDUSE_BITS),
             activity: PackedVec::new(ACTIVITY_BITS),
             place_kind: PackedVec::new(PLACE_KIND_BITS),
-            span_start: Vec::new(),
-            span_end: Vec::new(),
+            hour: Vec::new(),
             records: Vec::new(),
-            place_id: Vec::new(),
-            place_label: Vec::new(),
+            place: Vec::new(),
+            places: Vec::new(),
+            place_codes: HashMap::default(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
             segments: Vec::new(),
@@ -212,6 +189,17 @@ impl SemanticMatrix {
         self.labels.push(label.to_string());
         self.label_ids.insert(label.to_string(), id);
         id
+    }
+
+    fn place_code(&mut self, place_id: u64, label: &str) -> u32 {
+        let key = (place_id, self.label_id(label));
+        if let Some(&code) = self.place_codes.get(&key) {
+            return code;
+        }
+        let code = self.places.len() as u32;
+        self.places.push(key);
+        self.place_codes.insert(key, code);
+        code
     }
 
     /// Inserts (or replaces) a trajectory's tuples, taking the aligned
@@ -270,14 +258,12 @@ impl SemanticMatrix {
                 .push(l.road_class.map_or(0, |c| c.ordinal() as u64 + 1));
             self.landuse
                 .push(l.landuse.map_or(0, |c| c.ordinal() as u64 + 1));
-            self.span_start.push(t.span.start.0);
-            self.span_end.push(t.span.end.0);
+            self.hour.push(hour_of(t.span.start) as u8);
             self.records.push(l.records);
             match &t.place {
                 None => {
                     self.place_kind.push(0);
-                    self.place_id.push(0);
-                    self.place_label.push(LABEL_NONE);
+                    self.place.push(PLACE_NONE);
                 }
                 Some(p) => {
                     self.place_kind.push(match p.kind {
@@ -285,9 +271,8 @@ impl SemanticMatrix {
                         PlaceKind::Line => 2,
                         PlaceKind::Point => 3,
                     });
-                    self.place_id.push(p.id);
-                    let id = self.label_id(&p.label);
-                    self.place_label.push(id);
+                    let code = self.place_code(p.id, &p.label);
+                    self.place.push(code);
                 }
             }
         }
@@ -499,9 +484,7 @@ impl SemanticMatrix {
                 if kind != 0 || lu == 0 {
                     continue;
                 }
-                let start = self.span_start[offset + i];
-                let hour = hour_of(semitri_geo::Timestamp(start));
-                out.counts[(lu - 1) as usize][hour] += 1;
+                out.counts[(lu - 1) as usize][usize::from(self.hour[offset + i])] += 1;
             }
         }
         out
@@ -526,21 +509,18 @@ impl SemanticMatrix {
 
     /// Compressed scan: top-`n` POIs by stop-tuple visits.
     pub fn top_poi_visits(&self, n: usize) -> Vec<PoiVisit> {
-        let mut visits: HashMap<(u64, u32), u64, BuildPlaceHasher> = HashMap::default();
+        let mut visits = vec![0u64; self.places.len()];
         for (offset, len) in self.live_runs() {
             let kinds = self.kind.iter_range(offset, len);
             let place_kinds = self.place_kind.iter_range(offset, len);
             for (i, (kind, pk)) in kinds.zip(place_kinds).enumerate() {
-                if kind != 0 || pk != 3 {
-                    continue;
+                if kind == 0 && pk == 3 {
+                    visits[self.place[offset + i] as usize] += 1;
                 }
-                let idx = offset + i;
-                *visits
-                    .entry((self.place_id[idx], self.place_label[idx]))
-                    .or_insert(0) += 1;
             }
         }
-        rank_poi_visits(visits, &self.labels, n)
+        let visited = (self.places.iter().zip(visits)).filter(|&(_, v)| v > 0);
+        rank_poi_visits(visited.map(|(&key, v)| (key, v)), &self.labels, n)
     }
 }
 

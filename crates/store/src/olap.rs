@@ -78,23 +78,24 @@ pub(crate) fn hour_of(ts: Timestamp) -> usize {
 }
 
 /// Ranks `(id, label) → visits` maps into a sorted top-`n` list
-/// (descending visits, ascending id on ties).
+/// (descending visits, ascending id on ties; a stable sort, so equal keys
+/// keep their input order). Labels are cloned for the kept `n` only.
 pub(crate) fn rank_poi_visits(
     map: impl IntoIterator<Item = ((u64, u32), u64)>,
     labels: &[String],
     n: usize,
 ) -> Vec<PoiVisit> {
-    let mut out: Vec<PoiVisit> = map
+    let mut ranked: Vec<((u64, u32), u64)> = map.into_iter().collect();
+    ranked.sort_by(|(a, va), (b, vb)| vb.cmp(va).then(a.0.cmp(&b.0)));
+    ranked.truncate(n);
+    ranked
         .into_iter()
         .map(|((place_id, label_id), visits)| PoiVisit {
             place_id,
             label: labels[label_id as usize].clone(),
             visits,
         })
-        .collect();
-    out.sort_by(|a, b| b.visits.cmp(&a.visits).then(a.place_id.cmp(&b.place_id)));
-    out.truncate(n);
-    out
+        .collect()
 }
 
 /// The retained row path: full [`StructuredSemanticTrajectory`] rows plus

@@ -10,8 +10,12 @@
 //! * raw GPS fixes compress into [`crate::fixcol`] blocks
 //!   (delta-of-delta timestamps, centimeter fixed-point positions,
 //!   per-block min/max + bbox summaries);
-//! * episodes live in plain columns with per-block summaries, and time /
-//!   rect queries skip whole blocks the summary rules out;
+//! * each episode is one 64-byte row (bbox, span, trajectory, index,
+//!   kind) with its record range in a cold side vector; time windows skip
+//!   whole blocks of 256 rows by their `t_min`/`t_max` summary, and rect
+//!   windows read only the rows the [`crate::lattice`] posting index lists
+//!   as candidates, in storage order, each decided by the same row
+//!   predicate as a full scan;
 //! * semantic-tuple annotation layers live in the bitpacked
 //!   [`crate::matrix::SemanticMatrix`] streams, with the full SST body
 //!   retained as a compact codec blob for exact reconstruction;
@@ -51,8 +55,8 @@
 //! lost at the rename.
 
 use crate::codec::{seq_capacity, Decoder, Encoder};
-use crate::column::PackedVec;
 use crate::fixcol::{FixBlock, FixColumnStore, BLOCK_LEN};
+use crate::lattice::LatticeIndex;
 use crate::matrix::{SemanticMatrix, TupleLayers};
 use crate::olap::{LanduseHourCounts, ModeShareByClass, PoiVisit};
 use parking_lot::Mutex;
@@ -88,6 +92,13 @@ pub enum StoreError {
         /// Layer rows supplied.
         got: usize,
     },
+    /// A write carried an episode or tuple span that is reversed or NaN
+    /// (`Episode` and `TimeSpan` have public fields, so `TimeSpan::new`'s
+    /// check can be bypassed); nothing was written.
+    InvalidSpan {
+        /// The trajectory the span belongs to.
+        trajectory_id: u64,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -100,6 +111,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::LayerMismatch { expected, got } => {
                 write!(f, "layer rows misaligned: {got} rows for {expected} tuples")
+            }
+            StoreError::InvalidSpan { trajectory_id } => {
+                write!(f, "reversed or NaN span in trajectory {trajectory_id}")
             }
         }
     }
@@ -159,7 +173,7 @@ const REC_EPISODES2: u8 = 6;
 /// block is ≤ ~6.5 KiB even with every column in raw-f64 fallback.
 const MAX_FIXBLOCK_BYTES: usize = 64 * 1024;
 
-/// Episodes per column block (one scan-skip summary each).
+/// Episodes per time-window block (one `t_min`/`t_max` summary each).
 const EP_BLOCK: usize = 256;
 
 /// Capacity the log's encode buffer keeps between batches; a batch for
@@ -176,6 +190,25 @@ struct EpisodeRow {
     bbox: Rect,
     rec_start: u32,
     rec_end: u32,
+}
+
+/// `true` when `[start, end]` is a span `TimeSpan::new` accepts: `false`
+/// when it is reversed or either end is NaN. The write path and replay
+/// both hold spans to it, so no stored row can panic a reader.
+fn ordered(start: f64, end: f64) -> bool {
+    start <= end
+}
+
+/// Fails with [`StoreError::InvalidSpan`] unless every span is ordered.
+fn check_spans<'a>(
+    trajectory_id: u64,
+    mut spans: impl Iterator<Item = &'a TimeSpan>,
+) -> Result<(), StoreError> {
+    if spans.all(|s| ordered(s.start.0, s.end.0)) {
+        Ok(())
+    } else {
+        Err(StoreError::InvalidSpan { trajectory_id })
+    }
 }
 
 /// The rows of a trajectory's episode list, record ranges clamped to
@@ -195,48 +228,47 @@ fn episode_rows(episodes: &[Episode]) -> impl ExactSizeIterator<Item = EpisodeRo
 struct EpSummary {
     t_min: f64,
     t_max: f64,
+}
+
+/// What every episode query reads of one row, on one cache line: a rect
+/// candidate costs one line, not one per field.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct HotRow {
     bbox: Rect,
+    span: TimeSpan,
+    traj: u64,
+    index: u32,
+    kind: EpisodeKind,
 }
 
-/// Plain columns over all stored episodes, with one min/max summary per
-/// [`EP_BLOCK`] rows for block skipping.
-struct EpisodeColumns {
-    traj: Vec<u64>,
-    index: Vec<u32>,
-    kind: PackedVec,
-    t_start: Vec<f64>,
-    t_end: Vec<f64>,
-    min_x: Vec<f64>,
-    min_y: Vec<f64>,
-    max_x: Vec<f64>,
-    max_y: Vec<f64>,
-    rec_start: Vec<u32>,
-    rec_end: Vec<u32>,
-    summaries: Vec<EpSummary>,
-}
-
-impl Default for EpisodeColumns {
-    fn default() -> Self {
-        Self {
-            traj: Vec::new(),
-            index: Vec::new(),
-            kind: PackedVec::new(1),
-            t_start: Vec::new(),
-            t_end: Vec::new(),
-            min_x: Vec::new(),
-            min_y: Vec::new(),
-            max_x: Vec::new(),
-            max_y: Vec::new(),
-            rec_start: Vec::new(),
-            rec_end: Vec::new(),
-            summaries: Vec::new(),
+impl HotRow {
+    fn stored(&self) -> StoredEpisode {
+        StoredEpisode {
+            trajectory_id: self.traj,
+            index: self.index,
+            kind: self.kind,
+            span: self.span,
+            bbox: self.bbox,
         }
     }
 }
 
-impl EpisodeColumns {
+/// All stored episodes: one [`HotRow`] each, their record ranges (read
+/// only by `compact`) beside them, a `t_min`/`t_max` summary per
+/// [`EP_BLOCK`] rows for time windows, and the [`LatticeIndex`] for rect
+/// windows.
+#[derive(Default)]
+struct EpisodeStore {
+    rows: Vec<HotRow>,
+    ranges: Vec<(u32, u32)>,
+    summaries: Vec<EpSummary>,
+    lattice: LatticeIndex,
+}
+
+impl EpisodeStore {
     fn len(&self) -> usize {
-        self.traj.len()
+        self.rows.len()
     }
 
     fn push(&mut self, traj: u64, row: EpisodeRow) {
@@ -252,71 +284,34 @@ impl EpisodeColumns {
             self.summaries.push(EpSummary {
                 t_min: f64::INFINITY,
                 t_max: f64::NEG_INFINITY,
-                bbox: Rect::EMPTY,
             });
         }
         let s = self.summaries.last_mut().expect("summary pushed");
         s.t_min = s.t_min.min(span.start.0);
         s.t_max = s.t_max.max(span.end.0);
-        if !bbox.is_empty() {
-            s.bbox = s.bbox.union(&bbox);
-        }
-        self.traj.push(traj);
-        self.index.push(index);
-        self.kind.push(match kind {
-            EpisodeKind::Stop => 0,
-            EpisodeKind::Move => 1,
+        let id = u32::try_from(self.rows.len()).expect("episode row ids fit in u32");
+        self.lattice.insert(id, &bbox);
+        self.rows.push(HotRow {
+            bbox,
+            span,
+            traj,
+            index,
+            kind,
         });
-        self.t_start.push(span.start.0);
-        self.t_end.push(span.end.0);
-        self.min_x.push(bbox.min_x);
-        self.min_y.push(bbox.min_y);
-        self.max_x.push(bbox.max_x);
-        self.max_y.push(bbox.max_y);
-        self.rec_start.push(rec_start);
-        self.rec_end.push(rec_end);
+        self.ranges.push((rec_start, rec_end));
     }
 
-    /// Row `i` as pushed (the span unchecked, as stored).
+    /// Row `i` as pushed.
     fn episode_row(&self, i: usize) -> EpisodeRow {
+        let r = &self.rows[i];
+        let (rec_start, rec_end) = self.ranges[i];
         EpisodeRow {
-            index: self.index[i],
-            kind: if self.kind.get(i) == 0 {
-                EpisodeKind::Stop
-            } else {
-                EpisodeKind::Move
-            },
-            span: TimeSpan {
-                start: Timestamp(self.t_start[i]),
-                end: Timestamp(self.t_end[i]),
-            },
-            bbox: Rect {
-                min_x: self.min_x[i],
-                min_y: self.min_y[i],
-                max_x: self.max_x[i],
-                max_y: self.max_y[i],
-            },
-            rec_start: self.rec_start[i],
-            rec_end: self.rec_end[i],
-        }
-    }
-
-    fn row(&self, i: usize) -> StoredEpisode {
-        StoredEpisode {
-            trajectory_id: self.traj[i],
-            index: self.index[i],
-            kind: if self.kind.get(i) == 0 {
-                EpisodeKind::Stop
-            } else {
-                EpisodeKind::Move
-            },
-            span: TimeSpan::new(Timestamp(self.t_start[i]), Timestamp(self.t_end[i])),
-            bbox: Rect {
-                min_x: self.min_x[i],
-                min_y: self.min_y[i],
-                max_x: self.max_x[i],
-                max_y: self.max_y[i],
-            },
+            index: r.index,
+            kind: r.kind,
+            span: r.span,
+            bbox: r.bbox,
+            rec_start,
+            rec_end,
         }
     }
 
@@ -334,8 +329,9 @@ impl EpisodeColumns {
             let lo = bi * EP_BLOCK;
             let hi = (lo + EP_BLOCK).min(self.len());
             for i in lo..hi {
-                if self.t_start[i] <= window.end.0 && window.start.0 <= self.t_end[i] {
-                    f(self.row(i));
+                let r = &self.rows[i];
+                if r.span.start.0 <= window.end.0 && window.start.0 <= r.span.end.0 {
+                    f(r.stored());
                 }
             }
         }
@@ -343,38 +339,32 @@ impl EpisodeColumns {
     }
 
     /// Visits rows whose bbox intersects the window in storage order,
-    /// returning `(blocks checked, blocks skipped)`.
-    fn for_each_in_rect(&self, window: &Rect, mut f: impl FnMut(StoredEpisode)) -> (u64, u64) {
-        let mut checked = 0u64;
-        let mut skipped = 0u64;
-        for (bi, s) in self.summaries.iter().enumerate() {
-            checked += 1;
-            if !s.bbox.intersects(window) {
-                skipped += 1;
-                continue;
+    /// returning `(candidates, hits)`: the lattice lists candidates, and
+    /// the row predicate decides each one.
+    fn for_each_in_rect(&mut self, window: &Rect, mut f: impl FnMut(StoredEpisode)) -> (u64, u64) {
+        let mut hits = 0u64;
+        let rows = &self.rows;
+        let candidates = self.lattice.for_each_candidate(window, |i| {
+            let b = &rows[i].bbox;
+            if b.min_x <= window.max_x
+                && window.min_x <= b.max_x
+                && b.min_y <= window.max_y
+                && window.min_y <= b.max_y
+                && b.min_x <= b.max_x
+                && b.min_y <= b.max_y
+            {
+                hits += 1;
+                f(rows[i].stored());
             }
-            let lo = bi * EP_BLOCK;
-            let hi = (lo + EP_BLOCK).min(self.len());
-            for i in lo..hi {
-                if self.min_x[i] <= window.max_x
-                    && window.min_x <= self.max_x[i]
-                    && self.min_y[i] <= window.max_y
-                    && window.min_y <= self.max_y[i]
-                    && self.min_x[i] <= self.max_x[i]
-                    && self.min_y[i] <= self.max_y[i]
-                {
-                    f(self.row(i));
-                }
-            }
-        }
-        (checked, skipped)
+        });
+        (candidates, hits)
     }
 }
 
 #[derive(Default)]
 struct Inner {
     metas: HashMap<u64, TrajectoryMeta>,
-    episodes: EpisodeColumns,
+    episodes: EpisodeStore,
     fixes: FixColumnStore,
     matrix: SemanticMatrix,
 }
@@ -386,6 +376,8 @@ struct Counters {
     olap_queries: AtomicU64,
     blocks_checked: AtomicU64,
     blocks_skipped: AtomicU64,
+    rect_candidates: AtomicU64,
+    rect_hits: AtomicU64,
     syncs: AtomicU64,
 }
 
@@ -452,10 +444,17 @@ pub struct StoreMetricsSnapshot {
     pub rect_queries: u64,
     /// OLAP aggregate scans served.
     pub olap_queries: u64,
-    /// Episode blocks examined by queries.
+    /// Episode blocks examined by time-window queries (rect windows go
+    /// through the lattice index and touch no block).
     pub ep_blocks_checked: u64,
-    /// Episode blocks skipped via their min/max summary.
+    /// Episode blocks time-window queries skipped via their `t_min` /
+    /// `t_max` summary.
     pub ep_blocks_skipped: u64,
+    /// Rows the lattice index listed as rect-window candidates, each
+    /// counted once per query.
+    pub rect_candidates: u64,
+    /// Rect-window candidates whose bbox did intersect the window.
+    pub rect_hits: u64,
     /// Durable log size in bytes (0 when in-memory).
     pub log_bytes: u64,
     /// fsync-family calls issued: one data sync per write batch, the
@@ -485,7 +484,8 @@ impl StoreMetricsSnapshot {
         }
     }
 
-    /// Fraction of examined episode blocks skipped via summaries.
+    /// Fraction of the episode blocks time-window queries examined that
+    /// their summaries skipped.
     pub fn block_skip_rate(&self) -> f64 {
         if self.ep_blocks_checked == 0 {
             0.0
@@ -617,8 +617,10 @@ impl SemanticTrajectoryStore {
     /// record-range index).
     ///
     /// # Errors
-    /// Fails when the trajectory is unknown or on log I/O errors.
+    /// Fails when the trajectory is unknown, an episode span is reversed
+    /// or NaN, or on log I/O errors.
     pub fn put_episodes(&self, trajectory_id: u64, episodes: &[Episode]) -> Result<(), StoreError> {
+        check_spans(trajectory_id, episodes.iter().map(|e| &e.span))?;
         self.require_trajectory(trajectory_id)?;
         self.append(
             episode_rows(episodes),
@@ -669,8 +671,10 @@ impl SemanticTrajectoryStore {
     /// landuse labels and record counts.
     ///
     /// # Errors
-    /// Fails when the trajectory is unknown or on log I/O errors.
+    /// Fails when the trajectory is unknown, a tuple span is reversed or
+    /// NaN, or on log I/O errors.
     pub fn put_sst(&self, sst: &StructuredSemanticTrajectory) -> Result<(), StoreError> {
+        check_sst_spans(sst)?;
         self.require_trajectory(sst.trajectory_id)?;
         let blob = sst_blob(sst)?;
         let layers = default_layer_rows(sst);
@@ -686,8 +690,8 @@ impl SemanticTrajectoryStore {
     /// count) for the compressed semantic matrix.
     ///
     /// # Errors
-    /// Fails when the trajectory is unknown, the layers are misaligned,
-    /// or on log I/O errors.
+    /// Fails when the trajectory is unknown, the layers are misaligned, a
+    /// tuple span is reversed or NaN, or on log I/O errors.
     pub fn put_sst_with_layers(
         &self,
         sst: &StructuredSemanticTrajectory,
@@ -699,6 +703,7 @@ impl SemanticTrajectoryStore {
                 got: layers.len(),
             });
         }
+        check_sst_spans(sst)?;
         self.require_trajectory(sst.trajectory_id)?;
         self.append(
             sst_blob(sst)?,
@@ -721,10 +726,13 @@ impl SemanticTrajectoryStore {
     /// one write and one sync; readers see all of it or none of it.
     ///
     /// # Errors
-    /// Fails on log I/O errors.
+    /// Fails when an episode or tuple span is reversed or NaN, or on log
+    /// I/O errors.
     pub fn put_annotated(&self, out: &PipelineOutput, net: &RoadNetwork) -> Result<(), StoreError> {
         let id = out.cleaned.trajectory_id;
         let sst = &out.sst;
+        check_spans(id, out.episodes.iter().map(|e| &e.span))?;
+        check_sst_spans(sst)?;
         let records = out.cleaned.records();
         let meta = TrajectoryMeta {
             trajectory_id: id,
@@ -792,15 +800,6 @@ impl SemanticTrajectoryStore {
         ids
     }
 
-    fn note_blocks(&self, counts: (u64, u64)) {
-        self.counters
-            .blocks_checked
-            .fetch_add(counts.0, Ordering::Relaxed);
-        self.counters
-            .blocks_skipped
-            .fetch_add(counts.1, Ordering::Relaxed);
-    }
-
     /// Episodes overlapping a time window.
     pub fn episodes_in_time(&self, window: TimeSpan) -> Vec<StoredEpisode> {
         let mut out = Vec::new();
@@ -824,13 +823,15 @@ impl SemanticTrajectoryStore {
             return; // degenerate (inverted) window matches nothing
         }
         let inner = self.inner.lock();
-        let counts = inner.episodes.for_each_in_time(&window, |e| f(&e));
+        let (checked, skipped) = inner.episodes.for_each_in_time(&window, |e| f(&e));
         drop(inner);
-        self.note_blocks(counts);
+        let c = &self.counters;
+        c.blocks_checked.fetch_add(checked, Ordering::Relaxed);
+        c.blocks_skipped.fetch_add(skipped, Ordering::Relaxed);
     }
 
     /// Episodes whose bounding box intersects a spatial window (served
-    /// by the block-skip scan over the episode columns), sorted by
+    /// by the lattice posting index over the episode rows), sorted by
     /// `(trajectory, index)`.
     pub fn episodes_in_rect(&self, window: &Rect) -> Vec<StoredEpisode> {
         let mut out = Vec::new();
@@ -853,10 +854,12 @@ impl SemanticTrajectoryStore {
         if window.is_empty() {
             return; // degenerate window matches nothing
         }
-        let inner = self.inner.lock();
-        let counts = inner.episodes.for_each_in_rect(window, |e| f(&e));
+        let mut inner = self.inner.lock();
+        let (candidates, hits) = inner.episodes.for_each_in_rect(window, |e| f(&e));
         drop(inner);
-        self.note_blocks(counts);
+        let c = &self.counters;
+        c.rect_candidates.fetch_add(candidates, Ordering::Relaxed);
+        c.rect_hits.fetch_add(hits, Ordering::Relaxed);
     }
 
     /// Counts: `(trajectories, episodes, ssts)`.
@@ -929,6 +932,8 @@ impl SemanticTrajectoryStore {
         m.olap_queries.raise_to(s.olap_queries);
         m.ep_blocks_checked.set(s.ep_blocks_checked as i64);
         m.ep_blocks_skipped.set(s.ep_blocks_skipped as i64);
+        m.rect_candidates.set(s.rect_candidates as i64);
+        m.rect_hits.set(s.rect_hits as i64);
         m.log_bytes.set(s.log_bytes as i64);
         m.syncs.raise_to(s.syncs);
     }
@@ -952,6 +957,8 @@ impl SemanticTrajectoryStore {
             olap_queries: self.counters.olap_queries.load(Ordering::Relaxed),
             ep_blocks_checked: self.counters.blocks_checked.load(Ordering::Relaxed),
             ep_blocks_skipped: self.counters.blocks_skipped.load(Ordering::Relaxed),
+            rect_candidates: self.counters.rect_candidates.load(Ordering::Relaxed),
+            rect_hits: self.counters.rect_hits.load(Ordering::Relaxed),
             log_bytes: self.log_size().unwrap_or(0),
             syncs: self.counters.syncs.load(Ordering::Relaxed),
         }
@@ -988,9 +995,9 @@ impl SemanticTrajectoryStore {
             let eps = &inner.episodes;
             let mut i = 0usize;
             while i < eps.len() {
-                let traj = eps.traj[i];
+                let traj = eps.rows[i].traj;
                 let mut j = i;
-                while j < eps.len() && eps.traj[j] == traj {
+                while j < eps.len() && eps.rows[j].traj == traj {
                     j += 1;
                 }
                 encode_episodes(&mut enc, traj, (i..j).map(|k| eps.episode_row(k)))?;
@@ -1028,6 +1035,11 @@ impl SemanticTrajectoryStore {
         let path = self.path.as_ref()?;
         std::fs::metadata(path).ok().map(|m| m.len())
     }
+}
+
+/// [`check_spans`] over an SST's tuples.
+fn check_sst_spans(sst: &StructuredSemanticTrajectory) -> Result<(), StoreError> {
+    check_spans(sst.trajectory_id, sst.tuples.iter().map(|t| &t.span))
 }
 
 /// Default layer rows for an SST stored without pipeline context.
@@ -1318,8 +1330,10 @@ fn decode_sst_body(
         };
         let start = dec.f64()?;
         let end = dec.f64()?;
-        if end < start {
-            return Err(StoreError::Corrupt("tuple span reversed".to_string()));
+        if !ordered(start, end) {
+            return Err(StoreError::Corrupt(
+                "tuple span reversed or NaN".to_string(),
+            ));
         }
         let n_ann = dec.seq_len()?;
         let mut annotations =
@@ -1383,8 +1397,10 @@ fn decode_episode_row(
     };
     let start = dec.f64()?;
     let end = dec.f64()?;
-    if end < start {
-        return Err(StoreError::Corrupt("episode span reversed".to_string()));
+    if !ordered(start, end) {
+        return Err(StoreError::Corrupt(
+            "episode span reversed or NaN".to_string(),
+        ));
     }
     let bbox = Rect {
         min_x: dec.f64()?,
@@ -1788,6 +1804,123 @@ mod tests {
                 got: 0
             }
         ));
+    }
+
+    /// A fresh durable log at `name` holding trajectory 1.
+    fn durable_with_trajectory(name: &str) -> (PathBuf, SemanticTrajectoryStore) {
+        let dir = std::env::temp_dir().join(format!("semitri-store-s-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        let store = SemanticTrajectoryStore::open_durable(&path).unwrap();
+        store
+            .put_trajectory(TrajectoryMeta {
+                trajectory_id: 1,
+                object_id: 1,
+                record_count: 10,
+            })
+            .unwrap();
+        (path, store)
+    }
+
+    /// Overwrites the one occurrence of `marker`'s bytes in the log with NaN.
+    fn patch_to_nan(path: &Path, marker: f64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let needle = marker.to_le_bytes();
+        let at: Vec<usize> = (0..=bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == needle)
+            .collect();
+        assert_eq!(at.len(), 1, "marker {marker} must occur once");
+        bytes[at[0]..at[0] + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn nan_spans_in_the_log_are_corrupt_not_a_panic() {
+        // an episode record whose span start is NaN
+        let (path, store) = durable_with_trajectory("nan-episode.stlog");
+        store
+            .put_episodes(1, &[episode(EpisodeKind::Stop, 1_234.5, 2_000.0, 0.0)])
+            .unwrap();
+        drop(store);
+        patch_to_nan(&path, 1_234.5);
+        let err = SemanticTrajectoryStore::open_durable(&path).err();
+        assert!(matches!(err, Some(StoreError::Corrupt(_))), "{err:?}");
+        std::fs::remove_file(&path).unwrap();
+
+        // an SST record whose first tuple's span start is NaN
+        let (path, store) = durable_with_trajectory("nan-tuple.stlog");
+        let mut sst = sample_sst(1);
+        sst.tuples[0].span = TimeSpan::new(Timestamp(6_789.25), Timestamp(7_000.0));
+        store.put_sst(&sst).unwrap();
+        drop(store);
+        patch_to_nan(&path, 6_789.25);
+        let err = SemanticTrajectoryStore::open_durable(&path).err();
+        assert!(matches!(err, Some(StoreError::Corrupt(_))), "{err:?}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn writes_reject_reversed_and_nan_spans() {
+        let (path, store) = durable_with_trajectory("bad-spans.stlog");
+        let size = store.log_size();
+        let bad_spans = [
+            TimeSpan {
+                start: Timestamp(50.0),
+                end: Timestamp(10.0),
+            },
+            TimeSpan {
+                start: Timestamp(f64::NAN),
+                end: Timestamp(10.0),
+            },
+            TimeSpan {
+                start: Timestamp(0.0),
+                end: Timestamp(f64::NAN),
+            },
+        ];
+        for bad in bad_spans {
+            let mut eps = vec![episode(EpisodeKind::Stop, 0.0, 100.0, 0.0); 2];
+            eps[1].span = bad;
+            let err = store.put_episodes(1, &eps).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidSpan { trajectory_id: 1 }));
+
+            let mut sst = sample_sst(1);
+            sst.tuples[2].span = bad;
+            let err = store.put_sst(&sst).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidSpan { trajectory_id: 1 }));
+            let layers = default_layer_rows(&sample_sst(1));
+            let err = store.put_sst_with_layers(&sst, &layers).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidSpan { trajectory_id: 1 }));
+            assert_eq!(store.log_size(), size, "nothing written");
+        }
+        assert_eq!(store.counts(), (1, 0, 0));
+        drop(store);
+        let reopened = SemanticTrajectoryStore::open_durable(&path).unwrap();
+        assert_eq!(reopened.counts(), (1, 0, 0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn rect_windows_count_candidates_and_hits() {
+        let store = SemanticTrajectoryStore::in_memory();
+        store
+            .put_trajectory(TrajectoryMeta {
+                trajectory_id: 1,
+                object_id: 1,
+                record_count: 10,
+            })
+            .unwrap();
+        // 10 m boxes at x = 0, 20, …, 140: the first seven touch level-0
+        // cell (0, 0), the box at 120–130 straddling into cell (1, 0)
+        let eps: Vec<Episode> = (0..8)
+            .map(|i| episode(EpisodeKind::Stop, 0.0, 1.0, i as f64 * 20.0))
+            .collect();
+        store.put_episodes(1, &eps).unwrap();
+        let hits = store.episodes_in_rect(&Rect::new(0.0, 0.0, 15.0, 5.0));
+        assert_eq!(hits.len(), 1);
+        let m = store.metrics();
+        assert_eq!((m.rect_candidates, m.rect_hits), (7, 1));
+        assert_eq!(m.ep_blocks_checked, 0, "rect windows read no time block");
     }
 
     #[test]

@@ -131,6 +131,42 @@ proptest! {
 // compressed aggregates vs the row-walk oracle
 // ---------------------------------------------------------------------
 
+/// The float just below (`dir < 0`) or above (`dir > 0`) `x`.
+fn step(x: f64, dir: i64) -> f64 {
+    if x == 0.0 {
+        let tiny = f64::from_bits(1);
+        return if dir < 0 { -tiny } else { tiny };
+    }
+    let toward_larger_magnitude = (x > 0.0) == (dir > 0);
+    let bits = x.to_bits();
+    f64::from_bits(if toward_larger_magnitude {
+        bits + 1
+    } else {
+        bits - 1
+    })
+}
+
+/// Tuple starts: anywhere in a few days, or exactly on (or one float off)
+/// an hour or day edge, negative times included — where `hour_of`'s
+/// `rem_euclid` rounds, and where a stored hour lane could drift from it.
+fn tuple_start() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0..4e5f64,
+        -4e5..0.0f64,
+        (-96i64..96, 0usize..3, -1i64..2).prop_map(|(k, unit, off)| {
+            let edge = k as f64 * [3_600.0, 86_400.0, 1e-9][unit];
+            if off == 0 {
+                edge
+            } else {
+                step(edge, off)
+            }
+        }),
+        Just(-1e-12),
+        Just(-0.0),
+        Just(86_400.0 - 1e-9),
+    ]
+}
+
 fn layered_tuple() -> impl Strategy<Value = (SemanticTuple, TupleLayers)> {
     let labels = (
         prop_oneof![Just(false), Just(true)],   // stop or move
@@ -141,7 +177,7 @@ fn layered_tuple() -> impl Strategy<Value = (SemanticTuple, TupleLayers)> {
     );
     let shape = (
         proptest::option::of((0u64..40, 0usize..6)), // point POI (id, label pool)
-        0.0..4e5f64,
+        tuple_start(),
         0.0..9e3f64,
         0u32..2_000,
     );

@@ -216,3 +216,66 @@ fn bad_usage_exits_nonzero() {
     assert_eq!(out.status.code(), Some(1));
     let _ = std::fs::remove_file(&store);
 }
+
+#[test]
+fn olap_prints_the_three_aggregates_and_the_stores_own_scan_stats() {
+    let store = temp_store("olap.stlog");
+    let store_s = store.to_str().unwrap();
+    let out = cli()
+        .args(["generate", "phones", store_s, "5", "1", "--threads", "2"])
+        .output()
+        .expect("cli runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = cli().args(["olap", store_s, "3"]).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    let header = |text: &str| {
+        lines
+            .iter()
+            .position(|l| l.starts_with(text))
+            .unwrap_or_else(|| panic!("no {text:?} header in:\n{stdout}"))
+    };
+    header("stops per landuse category");
+    header("mode share by road class");
+    let top = header("top 3 POIs by stop visits:");
+    let stats = header("scan stats:");
+
+    // at most three POI rows, by descending visits
+    let visits: Vec<u64> = lines[top + 1..stats]
+        .iter()
+        .map(|l| {
+            let (head, _) = l.split_once(" visits (place ").expect("a POI row");
+            head.rsplit(' ')
+                .next()
+                .unwrap()
+                .parse()
+                .expect("a visit count")
+        })
+        .collect();
+    assert!(!visits.is_empty() && visits.len() <= 3, "{stdout}");
+    assert!(visits.windows(2).all(|w| w[0] >= w[1]), "{stdout}");
+
+    // the scan stats are the log's own counts
+    let m = semitri::store::SemanticTrajectoryStore::open_durable(&store)
+        .unwrap()
+        .metrics();
+    let want = format!(
+        "scan stats: {} fixes at {:.2} bytes/fix, {} live tuples, ",
+        m.fix_count,
+        m.bytes_per_fix(),
+        m.live_tuples
+    );
+    assert!(m.fix_count > 0 && m.live_tuples > 0);
+    assert!(
+        lines[stats].starts_with(&want),
+        "{} vs {want}",
+        lines[stats]
+    );
+    assert!(lines[stats].contains("time-window block-skip rate"));
+    let _ = std::fs::remove_file(&store);
+}

@@ -3,6 +3,7 @@
 
 use semitri::prelude::*;
 use semitri::store::export::{kml_document, raw_trajectory_kml, sst_kml};
+use semitri::store::StoreError;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("semitri-it-{}", std::process::id()));
@@ -419,4 +420,48 @@ fn durable_ingest_syncs_once_per_trajectory() {
     }
     in_memory.compact().unwrap();
     assert_eq!(in_memory.metrics().syncs, 0);
+}
+
+#[test]
+fn put_annotated_rejects_reversed_and_nan_spans_before_writing() {
+    let (dataset, outputs) = annotated_days();
+    let roads = &dataset.city.roads;
+    let path = temp_path("bad-spans.stlog");
+    let _ = std::fs::remove_file(&path);
+    let store = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    store.put_annotated(&outputs[0], roads).unwrap();
+    let size = store.log_size();
+
+    let reversed = TimeSpan {
+        start: Timestamp(500.0),
+        end: Timestamp(100.0),
+    };
+    let nan = TimeSpan {
+        start: Timestamp(f64::NAN),
+        end: Timestamp(100.0),
+    };
+    for bad in [reversed, nan] {
+        let mut out = renumbered(&outputs[1], 41, outputs[1].cleaned.records().to_vec());
+        out.episodes[0].span = bad;
+        let err = store.put_annotated(&out, roads).unwrap_err();
+        assert!(
+            matches!(err, StoreError::InvalidSpan { trajectory_id: 41 }),
+            "{err}"
+        );
+        let mut out = renumbered(&outputs[1], 42, outputs[1].cleaned.records().to_vec());
+        let last = out.sst.tuples.len() - 1;
+        out.sst.tuples[last].span = bad;
+        let err = store.put_annotated(&out, roads).unwrap_err();
+        assert!(
+            matches!(err, StoreError::InvalidSpan { trajectory_id: 42 }),
+            "{err}"
+        );
+        assert_eq!(store.log_size(), size, "a rejected write logs nothing");
+    }
+    assert_eq!(store.counts().0, 1);
+    drop(store);
+    let reopened = SemanticTrajectoryStore::open_durable(&path).unwrap();
+    assert_eq!(reopened.counts().0, 1);
+    assert!(reopened.get_trajectory(41).is_none());
+    std::fs::remove_file(&path).unwrap();
 }
